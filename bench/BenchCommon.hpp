@@ -53,7 +53,7 @@ struct SimBenchOptions {
     int64_t maxCtas = 2048;
     int layers = 2;
     uint64_t seed = 7;
-    int simThreads = 0;        ///< per-launch workers (0 = auto)
+    int simThreads = 0;        ///< profiler/mem-plan workers (0 = auto)
     int parallelLaunches = 0;  ///< concurrent launches (0 = auto)
 };
 

@@ -5,7 +5,7 @@
  * per-warp reference issue path, one worker thread,
  * effectively-unbounded trace chunks — the eager-materialization
  * footprint) against the optimized configuration (SoA issue fast
- * path, streamed chunks + parallel SM stepping). The SGEMM-dense
+ * path, streamed chunks). The SGEMM-dense
  * point is the issue-bound archetype the SoA rewrite targets: a
  * deep-K GEMM whose schedulers are saturated with FMA chains.
  *
@@ -14,7 +14,6 @@
  * trajectory:
  *
  *   --json FILE    output path
- *   --threads N    worker threads for the optimized config (0 = auto)
  *   --chunk N      trace-chunk instructions (default 256)
  *   --quick        smaller workloads for smoke runs
  *
@@ -87,24 +86,21 @@ skewedCsr(int64_t n, uint64_t seed)
  * per-warp reference issue path (GpuConfig::referenceIssue), legacy
  * every-SM-every-cycle stepping, and eager-size trace chunks; the
  * optimized configuration is the default SoA issue fast path with
- * streamed chunks and parallel SM stepping. Everything lands in the
+ * streamed chunks. Everything lands in the
  * outcome's metrics so ResultStore::toJson can emit it for trend
  * tracking.
  */
 void
 measure(RunOutcome &out, const KernelLaunch &launch,
-        const GpuConfig &cfg, int64_t max_ctas, int threads,
-        int chunk, int reps)
+        const GpuConfig &cfg, int64_t max_ctas, int chunk, int reps)
 {
     SimOptions base;
     base.maxCtas = max_ctas;
-    base.numThreads = 1;
     base.traceChunkInstrs = 1 << 22;  // eager-equivalent footprint
     base.perSmFastForward = false;    // legacy stepping
 
     SimOptions opt;
     opt.maxCtas = max_ctas;
-    opt.numThreads = threads;
     opt.traceChunkInstrs = chunk;
 
     double baseline_ms = 0.0, optimized_ms = 0.0;
@@ -153,8 +149,6 @@ main(int argc, char **argv)
     opts.parseArgs(argc, argv);
     const std::string json_path =
         opts.getString("json", "BENCH_sim_throughput.json");
-    const int threads =
-        static_cast<int>(opts.getInt("threads", 0));
     const int chunk = static_cast<int>(opts.getInt("chunk", 256));
     const bool quick = opts.getBool("quick", false);
 
@@ -166,16 +160,11 @@ main(int argc, char **argv)
     const int reps = quick ? 2 : 3;
 
     const GpuConfig cfg = GpuConfig::v100Sim();
-    const int resolved_threads =
-        threads > 0 ? threads
-                    : std::min(ThreadPool::defaultLanes(),
-                               cfg.numSms);
 
-    bench::banner(
-        "simulator throughput",
-        "baseline: 1 thread, eager-size chunks | optimized: " +
-            std::to_string(resolved_threads) + " thread(s), " +
-            std::to_string(chunk) + "-instr chunks");
+    bench::banner("simulator throughput",
+                  "baseline: reference issue, eager-size chunks | "
+                  "optimized: " +
+                      std::to_string(chunk) + "-instr chunks");
 
     // One point per kernel archetype; each point measures the
     // baseline-vs-optimized pair. Serial session: this is a timing
@@ -201,7 +190,7 @@ main(int argc, char **argv)
                 SpmmKernel k("spmm", a, b, c);
                 k.execute();
                 measure(out, k.makeLaunch(alloc), cfg, max_ctas,
-                        threads, chunk, reps);
+                        chunk, reps);
             } else if (pt.variant == "SGEMM") {
                 // Dense compute archetype.
                 const DenseMatrix a = randomMatrix(n / 2, 256, 13);
@@ -210,7 +199,7 @@ main(int argc, char **argv)
                 SgemmKernel k("sgemm", a, b, c);
                 k.execute();
                 measure(out, k.makeLaunch(alloc), cfg, max_ctas,
-                        threads, chunk, reps);
+                        chunk, reps);
             } else if (pt.variant == "SGEMM-dense") {
                 // Deep-K dense GEMM: long FMA chains over shared-
                 // memory tiles keep every scheduler issue-bound —
@@ -222,7 +211,7 @@ main(int argc, char **argv)
                 SgemmKernel k("sgemm_dense", a, b, c);
                 k.execute();
                 measure(out, k.makeLaunch(alloc), cfg, max_ctas,
-                        threads, chunk, reps);
+                        chunk, reps);
             } else {
                 // Atomic contention archetype.
                 const int64_t e = n * 4;
@@ -237,7 +226,7 @@ main(int argc, char **argv)
                                 ScatterKernel::Reduce::Sum);
                 k.execute();
                 measure(out, k.makeLaunch(alloc), cfg, max_ctas,
-                        threads, chunk, reps);
+                        chunk, reps);
             }
             return out;
         });
@@ -261,8 +250,7 @@ main(int argc, char **argv)
     table.print();
 
     store.toJson(json_path,
-                 {{"threads", static_cast<double>(resolved_threads)},
-                  {"chunk", static_cast<double>(chunk)},
+                 {{"chunk", static_cast<double>(chunk)},
                   {"peak_rss_kb", static_cast<double>(peakRssKb())},
                   {"quick", quick ? 1.0 : 0.0}});
     std::printf("wrote %s\n", json_path.c_str());

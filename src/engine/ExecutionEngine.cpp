@@ -333,12 +333,10 @@ SimEngine::sync()
     if (!simPool || simPool->lanes() != lanes)
         simPool = std::make_unique<ThreadPool>(lanes);
     // Lane 0 reuses the engine's own simulator; each extra lane owns
-    // one more. Per-launch sims stay single-threaded so lanes don't
-    // oversubscribe each other.
+    // one more.
     while (static_cast<int>(laneSims.size()) < lanes - 1)
         laneSims.push_back(std::make_unique<GpuSimulator>(opts.gpu));
     SimOptions lane_opts = opts.sim;
-    lane_opts.numThreads = 1;
     applySmSampling(lane_opts);
     // ThreadPool workers must not unwind; capture per-launch errors
     // and rethrow the lowest launch index on the calling thread so

@@ -262,7 +262,7 @@ class SimEngine : public ExecutionEngine
 
         /**
          * Independent launches simulated concurrently, each on its
-         * own single-threaded GpuSimulator instance. Launch timing is
+         * own GpuSimulator instance. Launch timing is
          * independent of launch order (every launch starts from a
          * flushed device), so results are identical to serial
          * simulation. 1 = inline/serial; 0 = auto.

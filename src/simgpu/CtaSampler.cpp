@@ -234,7 +234,7 @@ buildCtaSamplePlan(const GpuConfig &cfg, const KernelLaunch &launch,
 
     // Systematic sample inside each stratum: fixed stride through the
     // ranked order, seeded fractional start. Seeded by kernel
-    // identity + launch shape, so a rerun (or another thread count)
+    // identity + launch shape, so a rerun (or another launch lane)
     // draws the byte-identical sample.
     uint64_t seed = mix64(cfg.sampleSeed);
     seed = mix64(seed ^ hashString(launch.name));

@@ -89,7 +89,7 @@ CtaSamplePlan buildCtaSamplePlan(const GpuConfig &cfg,
  * Extrapolate @p stats (raw counters of the sampled run) to the plan
  * population using the per-CTA completion @p records, filling
  * stats.sampledCtas / sampleStrata / estimates. @p records must be
- * sorted by ctaId (the canonical cross-thread order); CTAs cut off by
+ * sorted by ctaId (the canonical cross-SM order); CTAs cut off by
  * a cycle limit may be absent and simply shrink the effective sample.
  */
 void extrapolateCtaSample(const CtaSamplePlan &plan,

@@ -187,10 +187,9 @@ struct GpuConfig {
     /**
      * Address-sliced L2/DRAM banking: line addresses are distributed
      * round-robin over this many independent slices, each owning
-     * 1/numL2Slices of the L2 capacity and DRAM bandwidth. Slices are
-     * the unit of parallelism (and of deterministic ownership) in the
-     * memory system; results do not depend on how many worker threads
-     * service them. Must be a power of two and divide l2's set count.
+     * 1/numL2Slices of the L2 capacity and DRAM bandwidth; the
+     * simulator resolves them in index order every cycle. Must be a
+     * power of two and divide l2's set count.
      */
     int numL2Slices = 4;
 

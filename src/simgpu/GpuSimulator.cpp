@@ -30,40 +30,30 @@ GpuSimulator::GpuSimulator(GpuConfig config)
     smStats.resize(static_cast<size_t>(cfg.numSms));
 }
 
-int
-GpuSimulator::resolveThreads(const SimOptions &opts) const
+void
+GpuSimulator::assignCtas(RunControl &ctl)
 {
-    int threads = opts.numThreads > 0 ? opts.numThreads
-                                      : ThreadPool::defaultLanes();
-    return std::clamp(threads, 1, cfg.numSms);
+    // Assign pending CTAs to SMs with free slots (round-robin by
+    // free-slot discovery order). Sampled runs walk the plan's CTA
+    // order instead of the dense prefix.
+    for (auto &sm : sms) {
+        while (ctl.nextCta < ctl.ctasToSim && sm->hasFreeCtaSlot()) {
+            const int64_t id =
+                ctl.sampleOrder
+                    ? (*ctl.sampleOrder)[static_cast<size_t>(
+                          ctl.nextCta)]
+                    : ctl.nextCta;
+            ++ctl.nextCta;
+            sm->assignCta(id, ctl.cycle);
+        }
+    }
 }
 
 void
-GpuSimulator::stepRange(int begin, int end, RunControl &ctl,
-                        int worker)
-{
-    bool issued = false;
-    uint64_t next_event = ~uint64_t{0};
-    for (int i = begin; i < end; ++i)
-        issued =
-            sms[static_cast<size_t>(i)]->stepCycle(ctl.cycle,
-                                                   next_event) ||
-            issued;
-    ctl.issuedBy[static_cast<size_t>(worker)] = issued ? 1 : 0;
-    ctl.eventBy[static_cast<size_t>(worker)] = next_event;
-}
-
-void
-GpuSimulator::controlPhase(RunControl &ctl)
+GpuSimulator::controlPhase(RunControl &ctl, bool issued,
+                           uint64_t next_event)
 {
     constexpr uint64_t kNoEvent = ~uint64_t{0};
-
-    bool issued = false;
-    uint64_t next_event = kNoEvent;
-    for (size_t w = 0; w < ctl.issuedBy.size(); ++w) {
-        issued = issued || ctl.issuedBy[w] != 0;
-        next_event = std::min(next_event, ctl.eventBy[w]);
-    }
 
     // The watchdog ceiling stops the clock exactly like cycleLimit
     // (so fast-forwarding cannot overshoot it), but is reported as an
@@ -94,9 +84,9 @@ GpuSimulator::controlPhase(RunControl &ctl)
 
     // Trace sampling: snapshot the sampling core's cumulative
     // scheduler counters at the first stepped cycle at or past each
-    // interval boundary. Runs on worker 0 after the resolve barrier
-    // (every stepCycle write ordered before), reads only — every
-    // deterministic counter is invariant to sampling.
+    // interval boundary. Reads only, after every SM stepped and every
+    // slice resolved — every deterministic counter is invariant to
+    // sampling.
     if (ctl.sampleEnabled && ctl.cycle >= ctl.nextSampleCycle) {
         ctl.samples.push_back(
             sms[static_cast<size_t>(ctl.sampleCore)]
@@ -122,20 +112,7 @@ GpuSimulator::controlPhase(RunControl &ctl)
         return;
     }
 
-    // Assign pending CTAs to SMs with free slots (round-robin by
-    // free-slot discovery order). Sampled runs walk the plan's CTA
-    // order instead of the dense prefix.
-    for (auto &sm : sms) {
-        while (ctl.nextCta < ctl.ctasToSim && sm->hasFreeCtaSlot()) {
-            const int64_t id =
-                ctl.sampleOrder
-                    ? (*ctl.sampleOrder)[static_cast<size_t>(
-                          ctl.nextCta)]
-                    : ctl.nextCta;
-            ++ctl.nextCta;
-            sm->assignCta(id, ctl.cycle);
-        }
-    }
+    assignCtas(ctl);
 
     bool busy = ctl.nextCta < ctl.ctasToSim;
     for (auto &sm : sms)
@@ -152,7 +129,6 @@ GpuSimulator::run(const KernelLaunch &launch, const SimOptions &opts)
     panicIf(launch.dims.numCtas <= 0 || launch.dims.threadsPerCta <= 0,
             "KernelLaunch with empty grid");
 
-    const int threads = resolveThreads(opts);
     const size_t chunk_instrs = static_cast<size_t>(
         std::max(32, opts.traceChunkInstrs));
 
@@ -194,8 +170,6 @@ GpuSimulator::run(const KernelLaunch &launch, const SimOptions &opts)
     ctl.cycleLimit = opts.cycleLimit;
     ctl.cycleCeiling = opts.cycleCeiling;
     ctl.cancel = opts.cancel;
-    ctl.issuedBy.assign(static_cast<size_t>(threads), 0);
-    ctl.eventBy.assign(static_cast<size_t>(threads), ~uint64_t{0});
     if (opts.smSampleEnabled) {
         ctl.sampleEnabled = true;
         ctl.sampleCore = std::clamp(opts.smSampleCore, 0,
@@ -205,57 +179,19 @@ GpuSimulator::run(const KernelLaunch &launch, const SimOptions &opts)
         ctl.nextSampleCycle = ctl.sampleInterval;
     }
 
-    // Initial CTA wave at cycle 0.
-    for (auto &sm : sms) {
-        while (ctl.nextCta < ctl.ctasToSim && sm->hasFreeCtaSlot()) {
-            const int64_t id =
-                ctl.sampleOrder
-                    ? (*ctl.sampleOrder)[static_cast<size_t>(
-                          ctl.nextCta)]
-                    : ctl.nextCta;
-            ++ctl.nextCta;
-            sm->assignCta(id, 0);
-        }
-    }
+    assignCtas(ctl); // initial CTA wave at cycle 0
 
-    const int num_sms = cfg.numSms;
     const int num_slices = mem.numSlices();
-    auto sm_begin = [&](int w) { return num_sms * w / threads; };
-    auto slice_begin = [&](int w) {
-        return num_slices * w / threads;
-    };
-
-    if (threads == 1) {
-        while (!ctl.done) {
-            stepRange(0, num_sms, ctl, 0);
-            for (int s = 0; s < num_slices; ++s)
-                mem.resolveSlice(s);
-            controlPhase(ctl);
-        }
-    } else {
-        if (!pool || pool->lanes() != threads)
-            pool = std::make_unique<ThreadPool>(threads);
-        SpinBarrier barrier(threads);
-        pool->runOnAll([&](int worker) {
-            for (;;) {
-                barrier.arriveAndWait(); // control published
-                if (ctl.done)
-                    return;
-                stepRange(sm_begin(worker), sm_begin(worker + 1),
-                          ctl, worker);
-                barrier.arriveAndWait(); // all SMs stepped
-                for (int s = slice_begin(worker);
-                     s < slice_begin(worker + 1); ++s)
-                    mem.resolveSlice(s);
-                barrier.arriveAndWait(); // memory resolved
-                if (worker == 0)
-                    controlPhase(ctl);
-            }
-        });
+    while (!ctl.done) {
+        bool issued = false;
+        uint64_t next_event = ~uint64_t{0};
+        for (auto &sm : sms)
+            issued = sm->stepCycle(ctl.cycle, next_event) || issued;
+        for (int s = 0; s < num_slices; ++s)
+            mem.resolveSlice(s);
+        controlPhase(ctl, issued, next_event);
     }
 
-    // Throw only here — every worker has left the barrier loop, so
-    // no thread is waiting on a phase that will never be published.
     if (ctl.cancelled)
         throw RunException(
             RunError::Timeout,
@@ -319,7 +255,7 @@ GpuSimulator::run(const KernelLaunch &launch, const SimOptions &opts)
     if (plan.engaged) {
         // Gather per-SM completion records into the canonical order
         // (each CTA completes on exactly one SM, so sorting by CTA id
-        // is thread-count independent), then extrapolate.
+        // is independent of SM assignment), then extrapolate.
         std::vector<CtaSampleRecord> records;
         for (const auto &v : sm_records)
             records.insert(records.end(), v.begin(), v.end());

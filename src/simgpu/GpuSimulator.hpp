@@ -5,15 +5,13 @@
  *
  * This is the stand-in for GPGPU-Sim 4.0 in the paper's methodology.
  *
- * The cycle loop can step SMs concurrently on a persistent worker
- * pool. Each cycle runs three barrier-separated phases:
- *   step     — every worker steps its SMs (classify + issue + L1);
- *   resolve  — every worker services its L2/DRAM address slices;
- *   control  — worker 0 merges events, fast-forwards stalls, assigns
- *              CTAs and decides termination.
- * All cross-thread state is partitioned by SM index or slice index
- * and every reduction runs in index order, so KernelStats are
- * bit-identical for any worker-thread count.
+ * A launch simulates on the calling thread. Each cycle runs three
+ * phases in order:
+ *   step     — every SM, in index order (classify + issue + L1);
+ *   resolve  — every L2/DRAM address slice, in index order;
+ *   control  — fast-forward stalls, assign CTAs, decide termination.
+ * Independent launches run concurrently on separate simulator
+ * instances (SimEngine launch lanes, sweep lanes), never inside one.
  */
 
 #ifndef GSUITE_SIMGPU_GPUSIMULATOR_HPP
@@ -28,7 +26,6 @@
 #include "simgpu/KernelStats.hpp"
 #include "simgpu/MemorySystem.hpp"
 #include "simgpu/Sm.hpp"
-#include "util/ThreadPool.hpp"
 
 namespace gsuite {
 
@@ -47,9 +44,8 @@ struct SimOptions {
     uint64_t cycleLimit = 50'000'000;
 
     /**
-     * Worker threads stepping SMs (and servicing memory slices).
-     * 0 = auto: min(hardware threads, numSms). Results are identical
-     * for every value; this only affects wall-clock time.
+     * Ignored: a launch always simulates on the calling thread. The
+     * field remains only because existing callers assign it.
      */
     int numThreads = 0;
 
@@ -91,9 +87,9 @@ struct SimOptions {
      * stall/occupancy counters of SM smSampleCore at the first
      * stepped cycle at or past each smSampleIntervalCycles boundary,
      * into KernelStats::smSamples. Pure observation — the samples
-     * are read under the phase barrier and no simulated state is
+     * are read in the control phase and no simulated state is
      * touched, so every deterministic counter is bit-identical with
-     * sampling on or off, and across thread counts.
+     * sampling on or off.
      */
     bool smSampleEnabled = false;
     int smSampleCore = 0;
@@ -113,7 +109,7 @@ class GpuSimulator
     const GpuConfig &config() const { return cfg; }
 
   private:
-    /** Shared per-run control state (see the cycle-phase contract). */
+    /** Per-run control state, owned by the control phase. */
     struct RunControl {
         int64_t ctasToSim = 0;
         int64_t nextCta = 0;
@@ -125,15 +121,13 @@ class GpuSimulator
         bool hitLimit = false;
         bool hitCeiling = false;
         bool cancelled = false;
-        std::vector<uint8_t> issuedBy; ///< per-worker issue flags
-        std::vector<uint64_t> eventBy; ///< per-worker event minima
         /**
          * CTA-sampled runs assign the plan's CTA ids instead of the
          * dense prefix; nextCta then indexes this order. nullptr in
          * full runs.
          */
         const std::vector<int64_t> *sampleOrder = nullptr;
-        // Trace sampling (worker 0 only, under the phase barrier).
+        // Trace sampling (control phase only).
         bool sampleEnabled = false;
         int sampleCore = 0;
         uint64_t sampleInterval = 0;
@@ -145,11 +139,11 @@ class GpuSimulator
     MemorySystem mem;
     std::vector<std::unique_ptr<Sm>> sms;
     std::vector<KernelStats> smStats;
-    std::unique_ptr<ThreadPool> pool;
 
-    int resolveThreads(const SimOptions &opts) const;
-    void stepRange(int begin, int end, RunControl &ctl, int worker);
-    void controlPhase(RunControl &ctl);
+    void assignCtas(RunControl &ctl);
+    /** @p issued / @p next_event: the step phase's reductions. */
+    void controlPhase(RunControl &ctl, bool issued,
+                      uint64_t next_event);
 };
 
 } // namespace gsuite

@@ -169,9 +169,9 @@ struct KernelStats {
     /**
      * Warp-scheduler samples of the trace sampling core; empty
      * unless SM tracing is enabled (hwdb `trace.enabled` +
-     * `trace.components` containing "sm"). Deterministic across
-     * sim-thread counts (sampled in the control phase), untouched by
-     * merge(), absent from goldens.
+     * `trace.components` containing "sm"). Deterministic (sampled
+     * in the control phase), untouched by merge(), absent from
+     * goldens.
      */
     std::vector<SmSchedSample> smSamples;
 

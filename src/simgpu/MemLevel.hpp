@@ -9,16 +9,14 @@
  *
  * MemorySystem builds one chain per L2 slice (CacheLevel ->
  * DramChannel) plus one un-chained CacheLevel per SM for the L1 —
- * the L1's "next level" hop crosses the simulator's phase barrier
+ * the L1's "next level" hop waits for the simulator's resolve phase
  * (an L1 miss is routed to its address slice by MemorySystem), so
  * the L1 level keeps next == nullptr and only contributes its cache
  * and MSHR table to phase 1.
  *
- * Determinism: every object here is owned by exactly one worker at
- * a time (an L1 level by its SM's worker, a slice chain by the
- * single worker resolving that slice this cycle) and all service
- * decisions are functions of request content and arrival order,
- * never of wall-clock or thread scheduling.
+ * Determinism: every object here belongs to one SM (an L1 level) or
+ * one slice (a chain), and all service decisions are functions of
+ * request content and arrival order, never of wall-clock.
  */
 
 #ifndef GSUITE_SIMGPU_MEMLEVEL_HPP

@@ -201,8 +201,7 @@ MemorySystem::resolveSlice(int slice)
             req.kind == MemAccessKind::Atomic ? 4 : 0;
         for (int i = 0; i < req.numSectors; ++i) {
             SectorReq &q = req.sectors[i];
-            if (!q.needsL2 || q.resolved ||
-                q.slice != slice)
+            if (q.slice != slice || !q.needsL2 || q.resolved)
                 continue;
             const uint64_t local = sliceLocalAddr(q.addr);
             const CacheLevel::Outcome o =

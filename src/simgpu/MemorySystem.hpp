@@ -5,25 +5,24 @@
  * chained to a banked DRAM channel via MemLevel::setNextLevel), fed
  * through a memory-access coalescer.
  *
- * The interface is split into three phases so the simulator can step
- * SMs concurrently while staying bit-identical across worker-thread
- * counts:
+ * The interface is split into three phases that the simulator runs
+ * in order each cycle, so every SM issues against the same L2/DRAM
+ * state regardless of its index:
  *
- *  1. beginAccess() — called from the issuing SM's worker. Coalesces
- *     lanes into sectors, probes that SM's L1 (state only ever
- *     touched by its owner) and claims L1 MSHR entries for every
- *     sector headed past the L1. Pure L1-hit loads complete
- *     immediately; anything that needs L2/DRAM is parked (at most one
- *     request per SM, enforced by the LSU port).
- *  2. resolveSlice() — called once per slice per cycle, each slice by
- *     exactly one worker. Walks the parked requests in SM-index order
- *     and services the sectors this slice owns through the slice's
- *     CacheLevel -> DramChannel chain, so the L2/DRAM ordering is a
- *     deterministic function of (cycle, slice, sm) and never of
- *     thread scheduling. A sector can be back-pressured (L2 MSHRs
+ *  1. beginAccess() — called while the issuing SM steps. Coalesces
+ *     lanes into sectors, probes that SM's L1 and claims L1 MSHR
+ *     entries for every sector headed past the L1. Pure L1-hit loads
+ *     complete immediately; anything that needs L2/DRAM is parked (at
+ *     most one request per SM, enforced by the LSU port).
+ *  2. resolveSlice() — called once per slice per cycle, after every
+ *     SM has stepped, slices in index order. Walks the parked
+ *     requests in SM-index order and services the sectors this slice
+ *     owns through the slice's CacheLevel -> DramChannel chain, so
+ *     the L2/DRAM ordering is a deterministic function of
+ *     (cycle, slice, sm). A sector can be back-pressured (L2 MSHRs
  *     exhausted or the DRAM queue full); it then retries on the next
  *     resolveSlice() call, which keeps its SM parked across cycles.
- *  3. finishAccess() — called from the owning SM's worker once
+ *  3. finishAccess() — called while the owning SM steps, once
  *     parkedComplete(). Merges per-sector completions, applies L1
  *     fills, releases L1 MSHR entries, and folds the slice-side
  *     counters into the SM's stats.
@@ -63,7 +62,7 @@ struct MemAccessResult {
 /**
  * Orchestrates coalescing and the chained cache/DRAM levels. All
  * per-launch counters are written into per-SM KernelStats passed by
- * the caller, so concurrent SMs never share a counter.
+ * the caller, so SMs never share a counter.
  */
 class MemorySystem
 {
@@ -80,8 +79,7 @@ class MemorySystem
     /**
      * Phase 1: coalesce and probe L1 for one warp-level access.
      *
-     * @param sm Issuing SM index (selects the L1; caller must be the
-     *        SM's owning worker).
+     * @param sm Issuing SM index (selects the L1).
      * @param cycle Issue cycle.
      * @param lane_addrs Per-lane byte addresses (inactive lanes absent).
      * @param kind Load / store / atomic.
@@ -219,7 +217,7 @@ class MemorySystem
     const GpuConfig &cfg;
     /**
      * Per-SM L1 levels. They stay un-chained (next == nullptr): the
-     * L1-miss hop to the slices crosses the phase barrier, so it is
+     * L1-miss hop to the slices waits for the resolve phase, so it is
      * routed by this class rather than by the level itself. Heap
      * allocation keeps the addresses stable for setNextLevel-style
      * wiring elsewhere.

@@ -157,8 +157,7 @@ Sm::assignCta(int64_t cta_id, uint64_t cycle)
         w.done = false;
         w.waitingBarrier = false;
         // The first chunk materializes lazily at the next step phase,
-        // on this SM's owning worker — assignment stays cheap and
-        // trace generation runs in parallel across SMs.
+        // so assignment stays cheap.
         w.chunk.clear();
         w.stream = launch->makeStream(cta_id, wi);
         w.streamDone = false;

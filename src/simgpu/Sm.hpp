@@ -35,14 +35,13 @@
  * Fig. 6 stall classes / Fig. 7 buckets. The simulator performs
  * the same bulk accounting across SMs when the whole GPU stalls.
  *
- * Concurrency contract: one SM is only ever touched by its owning
- * worker thread during the step phase. Global-memory instructions are
- * split across the cycle barrier — the SM begins the access during
- * its step (coalescing + its own L1), the memory slices resolve it
- * after the step barrier, and the SM folds the completion back into
- * its warp state at the start of its next step. Each SM writes its
- * statistics into its own KernelStats instance; the simulator reduces
- * them in SM-index order so totals are thread-count independent.
+ * Phase contract: global-memory instructions are split across the
+ * cycle's phases — the SM begins the access during its step
+ * (coalescing + its own L1), the memory slices resolve it after every
+ * SM has stepped, and the SM folds the completion back into its warp
+ * state at the start of its next step. Each SM writes its statistics
+ * into its own KernelStats instance; the simulator reduces them in
+ * SM-index order.
  *
  * Warp traces stream in fixed-budget chunks refilled on demand from
  * the launch's WarpTraceStream, bounding trace memory at
@@ -93,7 +92,7 @@ class Sm
     /**
      * Make CTA @p cta_id resident. Cheap: warp trace streams are only
      * instantiated here; their first chunks materialize lazily during
-     * the next step phase (i.e. on the owning worker).
+     * the next step phase.
      */
     void assignCta(int64_t cta_id, uint64_t cycle);
 
@@ -127,9 +126,9 @@ class Sm
     /**
      * Read-only snapshot of this SM's cumulative warp-scheduler
      * counters as of @p cycle, for trace sampling (hwdb
-     * `trace.sampling_core`). Called from the control phase — the
-     * phase barrier orders it after every stepCycle() write — and
-     * touches no mutable state, so sampling cannot perturb any
+     * `trace.sampling_core`). Called from the control phase, after
+     * every stepCycle() of the cycle, and touches no mutable
+     * state, so sampling cannot perturb any
      * deterministic counter.
      */
     SmSchedSample sampleSchedState(uint64_t cycle) const

@@ -49,8 +49,9 @@ class BenchSession
         int sweepThreads = 1;
 
         /**
-         * Total worker budget shared by sweep lanes and per-launch
-         * sim threads. 0 = auto: max(lanes, host lanes).
+         * Total worker budget shared by sweep lanes and per-point
+         * simThreads (profiler replay and mem-plan levels).
+         * 0 = auto: max(lanes, host lanes).
          */
         int threadBudget = 0;
 

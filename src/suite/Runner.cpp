@@ -39,7 +39,6 @@ AbstractionModule::makeEngine(const UserParams &params,
     opts.hwConfig.smSampleFactor = gpu.smSampleFactor;
     opts.hwConfig.maxCtas = params.maxCtas;
     opts.sim.maxCtas = params.maxCtas;
-    opts.sim.numThreads = params.simThreads;
     opts.sim.cycleCeiling = params.cycleCeiling;
     opts.sim.cancel = params.cancel;
     opts.parallelLaunches = params.simParallelLaunches;

@@ -102,8 +102,9 @@ struct UserParams {
     bool memPlan = false;
 
     /**
-     * Worker threads per simulated launch (0 = auto). Statistics are
-     * bit-identical for every value.
+     * Worker threads for HwProfiler cache replay and mem-plan level
+     * execution (0 = auto). A simulated launch always runs on one
+     * thread. Statistics are bit-identical for every value.
      */
     int simThreads = 0;
     /**
@@ -115,7 +116,7 @@ struct UserParams {
     /**
      * Sweep points executed concurrently by a BenchSession
      * (1 = serial, 0 = auto). BenchSession composes this with the
-     * per-launch simThreads budget so the total worker count stays
+     * per-point simThreads budget so the total worker count stays
      * bounded (see src/suite/README.md).
      */
     int sweepThreads = 1;

@@ -1,44 +1,11 @@
 #include "util/ThreadPool.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "util/Logging.hpp"
 
 namespace gsuite {
-
-SpinBarrier::SpinBarrier(int parties_in)
-    : parties(parties_in),
-      // Busy-spinning only pays off when every party can run on its
-      // own core; on oversubscribed hosts waiting threads must cede
-      // the core immediately or the arriving party never runs.
-      spinLimit(static_cast<int>(
-                    std::thread::hardware_concurrency()) >= parties_in
-                    ? 2048
-                    : 1)
-{
-    panicIf(parties_in < 1, "SpinBarrier needs at least one party");
-}
-
-void
-SpinBarrier::arriveAndWait()
-{
-    const uint64_t p = phase.load(std::memory_order_acquire);
-    if (arrived.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        parties) {
-        arrived.store(0, std::memory_order_relaxed);
-        phase.store(p + 1, std::memory_order_release);
-        return;
-    }
-    // Spin briefly for the common fast path, then yield so a host
-    // with fewer cores than lanes still makes progress.
-    int spins = 0;
-    while (phase.load(std::memory_order_acquire) == p) {
-        if (++spins >= spinLimit) {
-            std::this_thread::yield();
-            spins = 0;
-        }
-    }
-}
 
 ThreadPool::ThreadPool(int lanes) : numLanes(std::max(1, lanes))
 {

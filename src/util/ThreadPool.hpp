@@ -1,19 +1,14 @@
 /**
  * @file
- * A persistent worker pool plus a light-weight spin barrier, built for
- * the cycle-level simulator's per-cycle phase synchronization.
- *
- * The pool keeps its threads alive across invocations so a simulation
- * run pays one condition-variable wakeup per kernel, not per cycle;
- * the per-cycle barriers inside a run use SpinBarrier, which spins
- * briefly and then yields (so oversubscribed hosts still make
- * progress).
+ * A persistent worker pool for the embarrassingly parallel levels:
+ * SimEngine launch lanes, BenchSession sweep lanes, HwProfiler replay
+ * threads and mem-plan level execution. Workers stay alive across
+ * invocations, so each job pays one condition-variable wakeup.
  */
 
 #ifndef GSUITE_UTIL_THREADPOOL_HPP
 #define GSUITE_UTIL_THREADPOOL_HPP
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -24,30 +19,9 @@
 namespace gsuite {
 
 /**
- * Sense-reversing barrier for tightly-coupled phase loops. All
- * @p parties must call arriveAndWait() to release a phase; the barrier
- * is immediately reusable for the next phase.
- */
-class SpinBarrier
-{
-  public:
-    explicit SpinBarrier(int parties);
-
-    /** Block (spin, then yield) until all parties have arrived. */
-    void arriveAndWait();
-
-  private:
-    const int parties;
-    const int spinLimit; ///< spins before yielding (1 when oversubscribed)
-    std::atomic<int> arrived{0};
-    std::atomic<uint64_t> phase{0};
-};
-
-/**
  * Fixed-size pool of persistent workers. "Lanes" counts the calling
  * thread too: a pool with N lanes owns N-1 background threads, and
- * runOnAll(fn) executes fn(0..N-1) concurrently with the caller
- * running lane 0.
+ * the caller runs lane 0.
  */
 class ThreadPool
 {
@@ -60,12 +34,6 @@ class ThreadPool
     ThreadPool &operator=(const ThreadPool &) = delete;
 
     int lanes() const { return numLanes; }
-
-    /**
-     * Run @p fn on every lane and return once all lanes finish. The
-     * caller executes lane 0. Not reentrant.
-     */
-    void runOnAll(const std::function<void(int lane)> &fn);
 
     /**
      * Dynamically-scheduled parallel loop: fn(i, lane) is called for
@@ -91,6 +59,11 @@ class ThreadPool
     bool stopping = false;
 
     void workerMain(int lane);
+    /**
+     * Run @p fn on every lane and return once all lanes finish. The
+     * caller executes lane 0. Not reentrant.
+     */
+    void runOnAll(const std::function<void(int lane)> &fn);
 };
 
 } // namespace gsuite

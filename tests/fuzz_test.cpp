@@ -27,6 +27,7 @@
 #include "sparse/SparseOps.hpp"
 #include "tensor/Ops.hpp"
 #include "util/Random.hpp"
+#include "util/ThreadPool.hpp"
 
 using namespace gsuite;
 
@@ -290,7 +291,6 @@ TEST_P(FuzzSeeds, CycleSkipNeverOvershootsWarpWakeup)
     auto run = [&](const GpuConfig &c, bool skip) {
         SimOptions opts;
         opts.maxCtas = 32;
-        opts.numThreads = 1;
         opts.perSmFastForward = skip;
         GpuSimulator sim(c);
         return sim.run(launch, opts);
@@ -368,7 +368,7 @@ TEST_P(FuzzSeeds, CycleSkipNeverOvershootsWarpWakeup)
  * Memory-hierarchy config fuzz: random-walk the MSHR / DRAM-bank /
  * queue knobs across their legal ranges and require (a) the SoA fast
  * issue path to stay bit-identical to the reference path, (b) reruns
- * and worker-thread counts to be bit-identical — back-pressure from
+ * and concurrent launch lanes to be bit-identical — back-pressure from
  * tiny MSHR tables and single-entry DRAM queues exercises the parked
  * multi-cycle retry protocol far harder than any preset does.
  */
@@ -407,15 +407,14 @@ TEST_P(FuzzSeeds, RandomMemHierarchyConfigsStayDeterministic)
     ref_cfg.referenceIssue = true;
 
     const KernelLaunch launch = randomLatencyLaunch(seed ^ 0xd3a);
-    auto run = [&](const GpuConfig &c, int threads) {
+    auto run = [&](const GpuConfig &c) {
         SimOptions opts;
         opts.maxCtas = 24;
-        opts.numThreads = threads;
         GpuSimulator sim(c);
         return sim.run(launch, opts);
     };
 
-    const KernelStats base = run(cfg, 1);
+    const KernelStats base = run(cfg);
     auto expect_identical = [&](const KernelStats &x,
                                 const KernelStats &y) {
         EXPECT_EQ(x.cycles, y.cycles);
@@ -445,15 +444,21 @@ TEST_P(FuzzSeeds, RandomMemHierarchyConfigsStayDeterministic)
     };
     {
         SCOPED_TRACE("rerun");
-        expect_identical(base, run(cfg, 1));
+        expect_identical(base, run(cfg));
     }
     {
-        SCOPED_TRACE("4 worker threads");
-        expect_identical(base, run(cfg, 4));
+        // One simulator per lane, as SimEngine's launch lanes run.
+        SCOPED_TRACE("4 concurrent launch lanes");
+        std::vector<KernelStats> lanes(4);
+        ThreadPool(4).parallelFor(lanes.size(), [&](size_t i, int) {
+            lanes[i] = run(cfg);
+        });
+        for (const KernelStats &st : lanes)
+            expect_identical(base, st);
     }
     {
         SCOPED_TRACE("reference issue path");
-        expect_identical(base, run(ref_cfg, 1));
+        expect_identical(base, run(ref_cfg));
     }
 }
 

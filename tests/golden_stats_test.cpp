@@ -7,7 +7,7 @@
  * The goldens under tests/golden/ were generated with the pre-SoA
  * per-warp issue path; any microarchitectural rework of the SM hot
  * loop must keep them bit-identical. Counters must also be identical
- * across --sim-threads 1 vs 4 (the parallel-engine contract).
+ * across 1 vs 4 concurrent launch lanes (--sim-parallel).
  *
  * Regenerate with scripts/update_goldens.sh (runs this binary with
  * --update-golden). Only do that when a timing-model change is
@@ -126,13 +126,13 @@ struct GoldenCase {
 };
 
 std::string
-runPipeline(const GoldenCase &gc, int sim_threads,
+runPipeline(const GoldenCase &gc, int launch_lanes,
             TraceSink *sink = nullptr)
 {
     SimEngine::Options opts;
     opts.gpu = hwPresetByName(gc.gpu).config;
     opts.sim.maxCtas = 128;
-    opts.sim.numThreads = sim_threads;
+    opts.parallelLaunches = launch_lanes;
 
     SimEngine engine(opts);
     engine.setTraceSink(sink);
@@ -224,11 +224,11 @@ class GoldenStats : public ::testing::TestWithParam<GoldenCase>
 {
 };
 
-TEST_P(GoldenStats, CountersMatchGoldenAndThreadCount)
+TEST_P(GoldenStats, CountersMatchGoldenAndLaunchLanes)
 {
     const GoldenCase gc = GetParam();
     const std::string path = goldenPath(gc);
-    const std::string serial = runPipeline(gc, /*sim_threads=*/1);
+    const std::string serial = runPipeline(gc, /*launch_lanes=*/1);
 
     if (g_update_golden) {
         std::ofstream out(path);
@@ -245,10 +245,10 @@ TEST_P(GoldenStats, CountersMatchGoldenAndThreadCount)
         << " — generate it with scripts/update_goldens.sh";
     expectSameRendering(golden, serial, path);
 
-    // The parallel engine must not move a single counter.
-    const std::string threaded = runPipeline(gc, /*sim_threads=*/4);
-    expectSameRendering(serial, threaded,
-                        "(sim-threads 1 vs 4 rendering)");
+    // Concurrent launch lanes must not move a single counter.
+    const std::string lanes = runPipeline(gc, /*launch_lanes=*/4);
+    expectSameRendering(serial, lanes,
+                        "(launch lanes 1 vs 4 rendering)");
 
     // Neither may tracing (src/obs): a full-component sink with SM
     // sampling on is observation-only, so the golden rendering stays
@@ -257,7 +257,7 @@ TEST_P(GoldenStats, CountersMatchGoldenAndThreadCount)
     topts.enabled = true;
     TraceSink sink(topts);
     const std::string traced =
-        runPipeline(gc, /*sim_threads=*/1, &sink);
+        runPipeline(gc, /*launch_lanes=*/1, &sink);
     expectSameRendering(serial, traced,
                         "(tracing on vs off rendering)");
     EXPECT_GT(sink.eventCount(), 0u);

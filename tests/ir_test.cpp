@@ -72,7 +72,6 @@ tinySimOpts()
     SimEngine::Options opts;
     opts.gpu = hwPresetByName("test-tiny").config;
     opts.sim.maxCtas = 64;
-    opts.sim.numThreads = 1;
     return opts;
 }
 

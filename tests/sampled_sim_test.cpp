@@ -1,7 +1,7 @@
 /**
  * @file
  * CTA-sampled simulation: plan construction, extrapolation
- * arithmetic, determinism across reruns and worker-thread counts,
+ * arithmetic, determinism across reruns and concurrent launch lanes,
  * and byte-equality of sample.mode=off with the pre-sampling
  * simulator.
  */
@@ -12,10 +12,14 @@
 #include <cmath>
 #include <set>
 
+#include "engine/ExecutionEngine.hpp"
+#include "graph/Generators.hpp"
+#include "models/GnnModel.hpp"
 #include "simgpu/CtaSampler.hpp"
 #include "simgpu/GpuSimulator.hpp"
 #include "simgpu/KernelLaunch.hpp"
 #include "simgpu/Trace.hpp"
+#include "util/Random.hpp"
 
 using namespace gsuite;
 
@@ -75,7 +79,7 @@ offTiny()
     return cfg;
 }
 
-/** Every named stat of two runs, compared exactly. */
+/** Every named stat and every est_* / err_* of two runs, exactly. */
 void
 expectStatsIdentical(const KernelStats &a, const KernelStats &b)
 {
@@ -84,6 +88,12 @@ expectStatsIdentical(const KernelStats &a, const KernelStats &b)
     ASSERT_EQ(sa.names(), sb.names());
     for (const std::string &n : sa.names())
         EXPECT_EQ(sa.get(n), sb.get(n)) << "stat " << n;
+    ASSERT_EQ(a.estimates.size(), b.estimates.size());
+    for (size_t i = 0; i < a.estimates.size(); ++i) {
+        EXPECT_EQ(a.estimates[i].name, b.estimates[i].name);
+        EXPECT_EQ(a.estimates[i].est, b.estimates[i].est);
+        EXPECT_EQ(a.estimates[i].err, b.estimates[i].err);
+    }
 }
 
 } // namespace
@@ -239,29 +249,58 @@ TEST(SampledSim, EstimatesBoundTheFullRun)
     EXPECT_DOUBLE_EQ(st.estimate("warps"), 512.0);
 }
 
-TEST(SampledSim, BitIdenticalAcrossRerunsAndThreadCounts)
+TEST(SampledSim, BitIdenticalAcrossReruns)
 {
     const KernelLaunch l = skewedLaunch(512);
     const GpuConfig cfg = sampledTiny();
 
-    SimOptions serial;
-    serial.numThreads = 1;
-    SimOptions parallel;
-    parallel.numThreads = 4;
-
-    GpuSimulator s1(cfg), s2(cfg), s3(cfg);
-    const KernelStats a = s1.run(l, serial);
-    const KernelStats b = s2.run(l, serial);
-    const KernelStats c = s3.run(l, parallel);
-
+    GpuSimulator s1(cfg), s2(cfg);
+    const KernelStats a = s1.run(l);
+    const KernelStats b = s2.run(l);
+    ASSERT_FALSE(a.estimates.empty());
     expectStatsIdentical(a, b);
-    expectStatsIdentical(a, c);
-    ASSERT_EQ(a.estimates.size(), c.estimates.size());
-    for (size_t i = 0; i < a.estimates.size(); ++i) {
-        EXPECT_EQ(a.estimates[i].name, c.estimates[i].name);
-        EXPECT_EQ(a.estimates[i].est, c.estimates[i].est);
-        EXPECT_EQ(a.estimates[i].err, c.estimates[i].err);
+}
+
+TEST(SampledSim, PipelineEstimatesIdenticalAcrossLaunchLanes)
+{
+    // A CTA-sampled multi-kernel pipeline through SimEngine: launches
+    // deferred onto four concurrent lanes must extrapolate exactly as
+    // the inline serial launches do.
+    Rng rng(31);
+    Graph g = generateErdosRenyi(2048, 16384, rng);
+    fillFeatures(g, 16, rng);
+    ModelConfig model;
+    model.model = GnnModelKind::Gcn;
+    model.comp = CompModel::Mp;
+    model.layers = 2;
+    model.hidden = 16;
+    model.outDim = 8;
+
+    auto run = [&](int lanes) {
+        SimEngine::Options opts;
+        opts.gpu = sampledTiny();
+        opts.parallelLaunches = lanes;
+        SimEngine engine(opts);
+        GnnPipeline p(g, model);
+        p.run(engine);
+        std::vector<KernelStats> stats;
+        for (const auto &rec : engine.timeline()) {
+            EXPECT_TRUE(rec.hasSim) << rec.name;
+            stats.push_back(rec.sim);
+        }
+        return stats;
+    };
+    const std::vector<KernelStats> serial = run(1);
+    const std::vector<KernelStats> lanes = run(4);
+    ASSERT_EQ(serial.size(), lanes.size());
+    int sampled = 0;
+    for (size_t i = 0; i < serial.size(); ++i) {
+        SCOPED_TRACE(serial[i].name);
+        expectStatsIdentical(serial[i], lanes[i]);
+        if (serial[i].sampledCtas > 0)
+            ++sampled;
     }
+    EXPECT_GE(sampled, 2) << "too few launches engaged the sampler";
 }
 
 TEST(SampledSim, OffModeIsByteIdenticalToDefaultConfig)

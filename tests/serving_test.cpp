@@ -261,7 +261,9 @@ TEST(RequestStream, GenerationIsThreadInvariant)
         plan.events(2'000'000);
 
     ThreadPool pool(4);
-    std::vector<bool> match(8, false);
+    // Not vector<bool>: its packed bits would make the lanes' writes
+    // to distinct elements race on one word.
+    std::vector<uint8_t> match(8, 0);
     pool.parallelFor(match.size(), [&](size_t i, int) {
         match[i] =
             generateArrivals(spec, profiles, 2'000'000, 11) ==
@@ -269,7 +271,7 @@ TEST(RequestStream, GenerationIsThreadInvariant)
             plan.events(2'000'000) == serialEvents;
     });
     for (size_t i = 0; i < match.size(); ++i)
-        EXPECT_TRUE(match[i]) << "lane task " << i << " diverged";
+        EXPECT_TRUE(match[i] != 0) << "lane task " << i << " diverged";
 }
 
 // ---------------------------------------------------------------------------

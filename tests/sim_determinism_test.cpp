@@ -1,9 +1,9 @@
 /**
  * @file
- * Determinism regression tests for the parallel simulation engine:
- * KernelStats must be bit-identical regardless of worker-thread
- * count, trace-chunk size, and eager-vs-streaming trace
- * representation. These invariants are what lets the simulator use
+ * Determinism regression tests for the simulation engine: KernelStats
+ * must be bit-identical regardless of how many launches simulate
+ * concurrently, trace-chunk size, and eager-vs-streaming trace
+ * representation. These invariants are what lets the suite use
  * however many cores the host offers without changing any figure.
  */
 
@@ -26,6 +26,7 @@
 #include "sparse/Csr.hpp"
 #include "tensor/DenseMatrix.hpp"
 #include "util/Random.hpp"
+#include "util/ThreadPool.hpp"
 
 using namespace gsuite;
 
@@ -156,7 +157,6 @@ mixedSyntheticLaunch()
 GpuConfig
 detConfig()
 {
-    // 8 SMs / 4 slices so up to 8 workers get distinct partitions.
     GpuConfig cfg = GpuConfig::v100Sim();
     cfg.smSampleFactor = 1;
     return cfg;
@@ -164,40 +164,42 @@ detConfig()
 
 } // namespace
 
-TEST(SimDeterminism, SpmmIdenticalAcrossThreadCounts)
+TEST(SimDeterminism, ConcurrentLaunchLanesMatchSerialSimulation)
 {
+    // Launch lanes (SimEngine::sync) run independent launches on one
+    // simulator per lane. Interleaving an irregular SpMM with a
+    // barrier/atomic-heavy launch, every lane must reproduce the
+    // serial run bit for bit.
     SpmmWorkload w;
     DeviceAllocator alloc;
-    const KernelLaunch launch = w.kernel.makeLaunch(alloc);
+    const KernelLaunch spmm = w.kernel.makeLaunch(alloc);
+    const KernelLaunch mixed = mixedSyntheticLaunch();
+    const std::vector<const KernelLaunch *> launches = {
+        &spmm, &mixed, &spmm, &mixed, &spmm, &mixed};
 
     SimOptions opts;
     opts.maxCtas = 96;
-    std::vector<KernelStats> results;
-    for (const int threads : {1, 2, 4, 8}) {
-        GpuSimulator sim(detConfig());
-        opts.numThreads = threads;
-        results.push_back(sim.run(launch, opts));
-    }
-    for (size_t i = 1; i < results.size(); ++i)
-        expectStatsEqual(results[0], results[i]);
-    // Sanity: the workload is non-trivial.
-    EXPECT_GT(results[0].warpInstrs, 1000u);
-    EXPECT_GT(results[0].l2Misses, 0u);
-}
+    std::vector<KernelStats> serial;
+    GpuSimulator serial_sim(detConfig());
+    for (const KernelLaunch *l : launches)
+        serial.push_back(serial_sim.run(*l, opts));
 
-TEST(SimDeterminism, MixedKernelIdenticalAcrossThreadCounts)
-{
-    const KernelLaunch launch = mixedSyntheticLaunch();
-    SimOptions opts;
-    std::vector<KernelStats> results;
-    for (const int threads : {1, 3, 8}) {
-        GpuSimulator sim(detConfig());
-        opts.numThreads = threads;
-        results.push_back(sim.run(launch, opts));
+    std::vector<KernelStats> lanes(launches.size());
+    std::vector<std::unique_ptr<GpuSimulator>> lane_sims;
+    for (int i = 0; i < 4; ++i)
+        lane_sims.push_back(std::make_unique<GpuSimulator>(detConfig()));
+    ThreadPool(4).parallelFor(launches.size(), [&](size_t i, int lane) {
+        lanes[i] = lane_sims[static_cast<size_t>(lane)]->run(
+            *launches[i], opts);
+    });
+    for (size_t i = 0; i < launches.size(); ++i) {
+        SCOPED_TRACE(launches[i]->name);
+        expectStatsEqual(serial[i], lanes[i]);
     }
-    for (size_t i = 1; i < results.size(); ++i)
-        expectStatsEqual(results[0], results[i]);
-    EXPECT_GT(results[0].stallCycles[static_cast<size_t>(
+    // Sanity: the workloads are non-trivial.
+    EXPECT_GT(serial[0].warpInstrs, 1000u);
+    EXPECT_GT(serial[0].l2Misses, 0u);
+    EXPECT_GT(serial[1].stallCycles[static_cast<size_t>(
                   StallReason::Synchronization)],
               0u);
 }
@@ -284,7 +286,7 @@ TEST(SimDeterminism, GraphScheduledRunMatchesSerialOnAllFourModels)
     // run(OpGraph&) — the dependency-scheduled path every pipeline
     // now takes — must keep every launch's stats bit-identical to
     // the degenerate per-kernel run(Kernel&) path, for every model
-    // and for serial vs threaded/deferred simulation.
+    // and for serial vs deferred concurrent simulation.
     Rng rng(99);
     Graph g = generateErdosRenyi(90, 360, rng);
     fillFeatures(g, 12, rng);
@@ -302,12 +304,10 @@ TEST(SimDeterminism, GraphScheduledRunMatchesSerialOnAllFourModels)
         cfg.hidden = 12;
         cfg.outDim = 6;
 
-        auto run_one = [&](bool graph_path, int sim_threads,
-                           int parallel) {
+        auto run_one = [&](bool graph_path, int parallel) {
             SimEngine::Options eopts;
             eopts.gpu = detConfig();
             eopts.sim.maxCtas = 48;
-            eopts.sim.numThreads = sim_threads;
             eopts.parallelLaunches = parallel;
             SimEngine engine(eopts);
             GnnPipeline p(g, cfg);
@@ -326,10 +326,9 @@ TEST(SimDeterminism, GraphScheduledRunMatchesSerialOnAllFourModels)
             return stats;
         };
 
-        const auto serial = run_one(false, 1, 1);
-        for (const auto &[threads, parallel] :
-             std::vector<std::pair<int, int>>{{1, 1}, {4, 1}, {1, 3}}) {
-            const auto graphed = run_one(true, threads, parallel);
+        const auto serial = run_one(false, 1);
+        for (const int parallel : {1, 4}) {
+            const auto graphed = run_one(true, parallel);
             ASSERT_EQ(serial.size(), graphed.size())
                 << gnnModelName(model);
             for (size_t i = 0; i < serial.size(); ++i)

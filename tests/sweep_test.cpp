@@ -323,7 +323,7 @@ TEST(BenchSession, ComposesThreadBudgetAcrossLanes)
     const SweepSpec spec =
         SweepSpec{}.models({GnnModelKind::Gcn, GnnModelKind::Gin});
     BenchSession(opts).run(spec, [&](const SweepPoint &pt) {
-        // Auto (0) per-launch threads resolve to budget / lanes.
+        // Auto (0) per-point threads resolve to budget / lanes.
         max_seen = std::max(max_seen.load(),
                             pt.params.simThreads);
         EXPECT_EQ(pt.params.simThreads, 4);
