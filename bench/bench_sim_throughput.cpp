@@ -1,25 +1,22 @@
 /**
  * @file
  * Simulator-throughput benchmark: wall-clock and resident trace
- * memory per kernel class, comparing the pre-PR engine shape (the
- * per-warp reference issue path, one worker thread,
- * effectively-unbounded trace chunks — the eager-materialization
- * footprint) against the optimized configuration (SoA issue fast
- * path, streamed chunks). The SGEMM-dense
- * point is the issue-bound archetype the SoA rewrite targets: a
- * deep-K GEMM whose schedulers are saturated with FMA chains.
+ * memory per kernel class under the default engine configuration
+ * (SoA issue fast path, streamed trace chunks). The SGEMM-dense
+ * point is the issue-bound archetype: a deep-K GEMM whose
+ * schedulers are saturated with FMA chains.
  *
  * Emits machine-readable JSON (default BENCH_sim_throughput.json)
- * via ResultStore::toJson so later PRs can track the performance
+ * via ResultStore::toJson so CI can track the performance
  * trajectory:
  *
  *   --json FILE    output path
  *   --chunk N      trace-chunk instructions (default 256)
  *   --quick        smaller workloads for smoke runs
  *
- * KernelStats are bit-identical between the two configurations (the
- * determinism suite enforces this); only wall-clock and footprint
- * change.
+ * The simulated cycles and warp instructions are deterministic
+ * (scripts/compare_bench_json.py gates them exactly); the committed
+ * host-performance baseline lives in bench/host_perf/baselines/.
  */
 
 #include <sys/resource.h>
@@ -35,7 +32,6 @@
 #include "simgpu/GpuSimulator.hpp"
 #include "sparse/Csr.hpp"
 #include "tensor/DenseMatrix.hpp"
-#include "util/Logging.hpp"
 #include "util/Random.hpp"
 #include "util/Timer.hpp"
 
@@ -80,64 +76,33 @@ skewedCsr(int64_t n, uint64_t seed)
 }
 
 /**
- * Simulate @p launch under both engine configurations, repeating
- * @p reps times and keeping the best wall-clock of each (standard
- * min-of-N timing). The baseline is the pre-PR engine shape: the
- * per-warp reference issue path (GpuConfig::referenceIssue), legacy
- * every-SM-every-cycle stepping, and eager-size trace chunks; the
- * optimized configuration is the default SoA issue fast path with
- * streamed chunks. Everything lands in the
- * outcome's metrics so ResultStore::toJson can emit it for trend
- * tracking.
+ * Simulate @p launch @p reps times and keep the best wall-clock
+ * (standard min-of-N timing). Everything lands in the outcome's
+ * metrics so ResultStore::toJson can emit it for trend tracking.
  */
 void
 measure(RunOutcome &out, const KernelLaunch &launch,
         const GpuConfig &cfg, int64_t max_ctas, int chunk, int reps)
 {
-    SimOptions base;
-    base.maxCtas = max_ctas;
-    base.traceChunkInstrs = 1 << 22;  // eager-equivalent footprint
-    base.perSmFastForward = false;    // legacy stepping
-
     SimOptions opt;
     opt.maxCtas = max_ctas;
     opt.traceChunkInstrs = chunk;
 
-    double baseline_ms = 0.0, optimized_ms = 0.0;
-    uint64_t cycles = 0;
-
-    GpuConfig ref_cfg = cfg;
-    ref_cfg.referenceIssue = true; // pre-SoA per-warp issue path
-    GpuSimulator ref_sim(ref_cfg);
+    double sim_ms = 0.0;
     GpuSimulator sim(cfg);
-    for (int i = 0; i < reps; ++i) {
-        Timer t;
-        const KernelStats st = ref_sim.run(launch, base);
-        const double ms = t.elapsedMs();
-        if (i == 0 || ms < baseline_ms)
-            baseline_ms = ms;
-        cycles = st.cycles;
-        out.metrics["baseline_trace_bytes_peak"] =
-            static_cast<double>(st.traceBytesPeak);
-        out.metrics["cycles"] = static_cast<double>(st.cycles);
-        out.metrics["warp_instrs"] =
-            static_cast<double>(st.warpInstrs);
-    }
     for (int i = 0; i < reps; ++i) {
         Timer t;
         const KernelStats st = sim.run(launch, opt);
         const double ms = t.elapsedMs();
-        if (i == 0 || ms < optimized_ms)
-            optimized_ms = ms;
-        out.metrics["optimized_trace_bytes_peak"] =
+        if (i == 0 || ms < sim_ms)
+            sim_ms = ms;
+        out.metrics["cycles"] = static_cast<double>(st.cycles);
+        out.metrics["warp_instrs"] =
+            static_cast<double>(st.warpInstrs);
+        out.metrics["trace_bytes_peak"] =
             static_cast<double>(st.traceBytesPeak);
-        panicIf(st.cycles != cycles,
-                "optimized config changed simulated cycles");
     }
-    out.metrics["baseline_ms"] = baseline_ms;
-    out.metrics["optimized_ms"] = optimized_ms;
-    out.metrics["speedup"] =
-        optimized_ms > 0.0 ? baseline_ms / optimized_ms : 0.0;
+    out.metrics["sim_ms"] = sim_ms;
 }
 
 } // namespace
@@ -156,19 +121,17 @@ main(int argc, char **argv)
     const int64_t feat = quick ? 32 : 64;
     const int64_t max_ctas = quick ? 256 : 1024;
     // Min-of-N wall-clock; a single rep is too noisy even for smoke
-    // runs (first-touch page faults land on the baseline).
+    // runs (first-touch page faults land on the first rep).
     const int reps = quick ? 2 : 3;
 
     const GpuConfig cfg = GpuConfig::v100Sim();
 
     bench::banner("simulator throughput",
-                  "baseline: reference issue, eager-size chunks | "
-                  "optimized: " +
-                      std::to_string(chunk) + "-instr chunks");
+                  std::to_string(chunk) + "-instr trace chunks");
 
-    // One point per kernel archetype; each point measures the
-    // baseline-vs-optimized pair. Serial session: this is a timing
-    // bench, concurrent points would skew each other's wall-clock.
+    // One point per kernel archetype. Serial session: this is a
+    // timing bench, concurrent points would skew each other's
+    // wall-clock.
     const SweepSpec spec =
         SweepSpec{}
             .engine(EngineKind::Sim)
@@ -232,20 +195,14 @@ main(int argc, char **argv)
         });
 
     TablePrinter table("simulator throughput");
-    table.header({"kernel", "base ms", "opt ms", "speedup",
-                  "base trace KiB", "opt trace KiB"});
+    table.header({"kernel", "sim ms", "cycles", "trace KiB"});
     for (const auto &r : store) {
         if (!r.ok)
             continue;
         const auto &m = r.outcome.metrics;
-        table.row(
-            {r.point.variant, fmtDouble(m.at("baseline_ms"), 2),
-             fmtDouble(m.at("optimized_ms"), 2),
-             fmtDouble(m.at("speedup"), 2),
-             fmtDouble(m.at("baseline_trace_bytes_peak") / 1024.0,
-                       1),
-             fmtDouble(m.at("optimized_trace_bytes_peak") / 1024.0,
-                       1)});
+        table.row({r.point.variant, fmtDouble(m.at("sim_ms"), 2),
+                   fmtDouble(m.at("cycles"), 0),
+                   fmtDouble(m.at("trace_bytes_peak") / 1024.0, 1)});
     }
     table.print();
 

@@ -67,11 +67,6 @@ ExecutionEngine::executeLevels(const OpGraph &graph,
         execPool = std::make_unique<ThreadPool>(lanes);
 
     for (const auto &level : byLevel) {
-        // Fault hooks fire serially in schedule order so injected
-        // failures are deterministic regardless of lane count.
-        if (faultHook)
-            for (size_t i : level)
-                faultHook(i, *graph.node(i).kernel);
         if (level.size() == 1 || lanes <= 1) {
             for (size_t i : level) {
                 Timer t;
@@ -170,11 +165,8 @@ ExecutionEngine::run(const OpGraph &graph)
         // on-demand address assignment interleave in the
         // deterministic schedule order; only the deferred timing
         // simulations overlap, joined by sync().
-        size_t nodeIndex = 0;
         for (const OpNode &n : graph.nodes()) {
             try {
-                if (faultHook)
-                    faultHook(nodeIndex, *n.kernel);
                 runKernel(*n.kernel, allocFor(n));
             } catch (...) {
                 // Deferred simulations reference operand buffers the
@@ -187,7 +179,6 @@ ExecutionEngine::run(const OpGraph &graph)
                 }
                 throw;
             }
-            ++nodeIndex;
         }
         // Plan post-hoc for reporting: peaks are a pure function of
         // the graph, so naive runs report the same numbers a

@@ -12,7 +12,6 @@
 #ifndef GSUITE_ENGINE_EXECUTIONENGINE_HPP
 #define GSUITE_ENGINE_EXECUTIONENGINE_HPP
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -106,22 +105,6 @@ class ExecutionEngine
     virtual void sync() {}
 
     /**
-     * Install a hook called before each node of run(OpGraph&) with
-     * the node's schedule index and kernel. Fault-injection layers
-     * throw RunException(RunError::FaultInjected) from it to
-     * exercise the engine's failure-propagation path; the engine
-     * drains deferred work before rethrowing so unwinding never
-     * leaves simulations referencing dead operand buffers.
-     * Pass nullptr to clear.
-     */
-    void
-    setFaultHook(
-        std::function<void(size_t, const Kernel &)> hook)
-    {
-        faultHook = std::move(hook);
-    }
-
-    /**
      * Enable plan-backed placement for run(OpGraph&): functional
      * execution goes level-parallel (same-level nodes have no
      * dependency path between them), then a MemPlan pre-maps and
@@ -140,7 +123,6 @@ class ExecutionEngine
         planMode = on;
         planThreads = execThreads;
     }
-    bool memPlanMode() const { return planMode; }
 
     /**
      * Attach a trace sink (src/obs; nullptr detaches). Each
@@ -154,7 +136,6 @@ class ExecutionEngine
      * run; the caller owns export.
      */
     void setTraceSink(TraceSink *sink) { trace = sink; }
-    TraceSink *traceSink() const { return trace; }
 
     /** Summary of the most recent run(OpGraph&) call. */
     const GraphRunReport &lastGraphReport() const
@@ -218,7 +199,6 @@ class ExecutionEngine
     std::vector<KernelRecord> records;
     DeviceAllocator alloc;
     GraphRunReport graphReport;
-    std::function<void(size_t, const Kernel &)> faultHook;
     TraceSink *trace = nullptr;
     bool planMode = false;
     int planThreads = 0;
@@ -274,8 +254,6 @@ class SimEngine : public ExecutionEngine
     explicit SimEngine(Options opts);
 
     void sync() override;
-
-    const GpuConfig &gpuConfig() const { return sim.config(); }
 
   protected:
     void measureKernel(size_t recordIndex, Kernel &kernel,

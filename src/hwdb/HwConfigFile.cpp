@@ -511,9 +511,8 @@ applyOverheadKey(HwConfig &hw, const std::string &key,
 }
 
 void
-checkDerivedSets(const GpuConfig &cfg, const char *key,
-                 const CacheGeometry &geom, int64_t claimed,
-                 const std::string &origin)
+checkDerivedSets(const char *key, const CacheGeometry &geom,
+                 int64_t claimed, const std::string &origin)
 {
     if (claimed != geom.numSets())
         fatal("%s: derived key '%s' claims %lld sets but "
@@ -571,11 +570,10 @@ parseHwConfigText(const std::string &text, const std::string &origin)
     // Derived-parameter cross-checks run after the whole file so key
     // order cannot hide an inconsistency.
     if (claimedL1Sets >= 0)
-        checkDerivedSets(hw.gpu, "l1d.sets", hw.gpu.l1d,
-                         claimedL1Sets, origin);
-    if (claimedL2Sets >= 0)
-        checkDerivedSets(hw.gpu, "l2.sets", hw.gpu.l2, claimedL2Sets,
+        checkDerivedSets("l1d.sets", hw.gpu.l1d, claimedL1Sets,
                          origin);
+    if (claimedL2Sets >= 0)
+        checkDerivedSets("l2.sets", hw.gpu.l2, claimedL2Sets, origin);
     hw.gpu.validate();
     return hw;
 }

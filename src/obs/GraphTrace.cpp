@@ -1,11 +1,31 @@
 #include "obs/GraphTrace.hpp"
 
 #include <algorithm>
+#include <cctype>
 
-#include "obs/MetricRegistry.hpp"
 #include "util/Logging.hpp"
 
 namespace gsuite {
+
+std::string
+metricSlug(const std::string &label)
+{
+    std::string out;
+    out.reserve(label.size());
+    bool pendingSep = false;
+    for (const char c : label) {
+        if (std::isalnum(static_cast<unsigned char>(c))) {
+            if (pendingSep && !out.empty())
+                out += '_';
+            pendingSep = false;
+            out += static_cast<char>(
+                std::tolower(static_cast<unsigned char>(c)));
+        } else {
+            pendingSep = true;
+        }
+    }
+    return out;
+}
 
 std::vector<LaneScheduleEntry>
 laneSchedule(const OpGraph &graph,

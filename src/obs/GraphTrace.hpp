@@ -20,6 +20,7 @@
 #define GSUITE_OBS_GRAPHTRACE_HPP
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "engine/ExecutionEngine.hpp"
@@ -57,6 +58,11 @@ void emitGraphTrace(TraceSink &sink, const OpGraph &graph,
                     const MemPlan &plan,
                     const std::vector<KernelRecord> &records,
                     size_t firstRecord, int lanes);
+
+/** Counter-name segment from a display label: lowercase, spaces and
+ *  punctuation collapsed to '_' ("Memory Dependency" ->
+ *  "memory_dependency"). */
+std::string metricSlug(const std::string &label);
 
 } // namespace gsuite
 

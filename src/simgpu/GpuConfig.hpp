@@ -138,9 +138,8 @@ struct GpuConfig {
      * Debug/ablation: use the pre-SoA per-warp issue path (classify
      * every resident warp every cycle) instead of the cached SoA
      * fast path. Both paths produce bit-identical statistics except
-     * the classifyEvals diagnostic; the reference path is kept for
-     * A/B regression tests and as the honest baseline in
-     * bench_sim_throughput.
+     * the classifyEvals diagnostic; the reference path is kept as
+     * the oracle of the A/B regression tests.
      */
     bool referenceIssue = false;
 

@@ -32,11 +32,13 @@ namespace gsuite {
 /** Per-run simulation options. */
 struct SimOptions {
     /**
-     * CTA sampling cap: launches bigger than this simulate only the
-     * first maxCtas CTAs (several full waves across the SM subset).
-     * Ratio statistics are representative under homogeneous-CTA
-     * sampling; cycle counts are scaled back by the sampling factor
-     * in KernelStats::timeMs().
+     * CTA cap: launches bigger than this simulate only the first
+     * maxCtas CTAs (several full waves across the SM subset), and
+     * KernelStats::ctasSimulated < ctasExpected marks the run as
+     * capped. Ratio statistics are representative under
+     * homogeneous-CTA sampling; cycle counts cover the simulated
+     * CTAs only and are never scaled up. Under CTA sampling the cap
+     * bounds the sample size instead.
      */
     int64_t maxCtas = 2048;
 
@@ -59,8 +61,10 @@ struct SimOptions {
     /**
      * Per-SM idle fast-forwarding: an SM that cannot issue before a
      * known future cycle replays its last classification instead of
-     * recomputing it. Statistics are invariant; disabling recovers
-     * the legacy every-SM-every-cycle stepping (ablation/debugging).
+     * recomputing it. Statistics are invariant. Only
+     * fuzz_test.CycleSkipNeverOvershootsWarpWakeup turns it off: the
+     * every-SM-every-cycle stepping is its per-cycle oracle for the
+     * skip.
      */
     bool perSmFastForward = true;
 

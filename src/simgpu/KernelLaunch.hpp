@@ -5,10 +5,9 @@
  *
  * Traces materialize chunk by chunk while a warp is resident on an
  * SM, so the simulator's footprint is O(resident warps x chunk size)
- * rather than O(total dynamic instructions). Kernels provide a
- * resumable WarpTraceStream (preferred); an eager whole-trace
- * generator is still accepted for tests and simple synthetic
- * launches, and is adapted into a single-chunk stream internally.
+ * rather than O(total dynamic instructions). Every launch provides a
+ * resumable WarpTraceStream per warp; a tiny synthetic launch may
+ * emit its whole trace in one chunk and return true.
  */
 
 #ifndef GSUITE_SIMGPU_KERNELLAUNCH_HPP
@@ -79,43 +78,26 @@ using WarpTraceStream = std::function<bool(TraceBuilder &)>;
 
 /**
  * A recorded kernel launch. streamTrace returns the resumable trace
- * stream of warp @p warp of CTA @p cta; genTrace is the legacy eager
- * form that fills a whole trace at once. Exactly one should be set
- * (streamTrace wins when both are).
+ * stream of warp @p warp of CTA @p cta.
  */
 struct KernelLaunch {
     std::string name;
     KernelClass kind = KernelClass::Aux;
     LaunchDims dims;
 
-    /** Streaming trace generator (preferred; bounded memory). */
+    /** Streaming trace generator (bounded memory). */
     std::function<WarpTraceStream(int64_t cta, int warp)> streamTrace;
 
-    /**
-     * Eager whole-trace generator (legacy). Must end the stream with
-     * an EXIT instruction. Adapted into a single-chunk stream by
-     * makeStream(), so it costs O(full trace) memory per warp.
-     */
-    std::function<void(int64_t cta, int warp, WarpTrace &out)> genTrace;
+    /** True if a trace generator is set. */
+    bool hasTraceGen() const { return static_cast<bool>(streamTrace); }
 
-    /** True if either trace representation is available. */
-    bool
-    hasTraceGen() const
-    {
-        return static_cast<bool>(streamTrace) ||
-               static_cast<bool>(genTrace);
-    }
-
-    /**
-     * The warp's trace stream; adapts genTrace when no streaming
-     * generator is set. panic()s if neither is set.
-     */
+    /** The warp's trace stream. panic()s if no generator is set. */
     WarpTraceStream makeStream(int64_t cta, int warp) const;
 
     /**
      * Materialize the warp's full trace into @p out (cleared first).
-     * Works for either representation; intended for tests and
-     * offline analysis, not the simulation hot path.
+     * Intended for tests and offline analysis, not the simulation
+     * hot path.
      */
     void buildFullTrace(int64_t cta, int warp, WarpTrace &out) const;
 

@@ -122,33 +122,6 @@ KernelStats::estimateErr(const std::string &stat) const
     return 0.0;
 }
 
-double
-KernelStats::timeMs(double clock_ghz) const
-{
-    double effective_cycles =
-        static_cast<double>(cycles) * samplingFactor();
-    if (sampledCtas > 0) {
-        // The stratified extrapolation knows about heavy/light CTA
-        // imbalance; prefer it to the homogeneous samplingFactor().
-        for (const SampleEstimate &e : estimates)
-            if (e.name == "cycles" && e.est > 0.0)
-                effective_cycles = e.est;
-    }
-    return effective_cycles / (clock_ghz * 1e6);
-}
-
-double
-KernelStats::samplingFactor() const
-{
-    // The SM-subset sampling itself is time-neutral (the full GPU
-    // runs smSampleFactor times the CTAs on as many times the SMs in
-    // the same wall time); only the additional maxCtas cap scales
-    // simulated time back up.
-    if (ctasSimulated <= 0 || ctasExpected <= ctasSimulated)
-        return 1.0;
-    return static_cast<double>(ctasExpected) / ctasSimulated;
-}
-
 void
 KernelStats::merge(const KernelStats &other)
 {

@@ -213,10 +213,6 @@ struct KernelStats {
     double memoryUtilization() const;
     /** Average sectors per global memory instruction (divergence). */
     double divergence() const;
-    /** Wall-clock estimate at the configured core clock, in ms. */
-    double timeMs(double clock_ghz) const;
-    /** If CTAs were sampled, the launch/simulated ratio (else 1). */
-    double samplingFactor() const;
 
     /** Merge another launch's counters into this one. */
     void merge(const KernelStats &other);

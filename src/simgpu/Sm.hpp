@@ -76,7 +76,9 @@ class Sm
      * @param launch The launch to simulate.
      * @param stats This SM's private statistics sink.
      * @param chunk_instrs Trace-chunk instruction budget.
-     * @param idle_skip Enable per-SM idle fast-forwarding.
+     * @param idle_skip Enable per-SM idle fast-forwarding (always on
+     *        except in the cycle-skip fuzz oracle, see
+     *        SimOptions::perSmFastForward).
      * @param sample_records Optional sink receiving one
      *        CtaSampleRecord per CTA completed on this SM (CTA-
      *        sampled simulation); nullptr disables the bookkeeping.

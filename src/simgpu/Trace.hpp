@@ -75,7 +75,7 @@ struct WarpTrace {
 class TraceBuilder
 {
   public:
-    /** Unbounded builder with its own register cursor (eager mode). */
+    /** Unbounded builder with its own register cursor. */
     explicit TraceBuilder(WarpTrace &trace);
 
     /**
@@ -95,9 +95,6 @@ class TraceBuilder
     {
         return trace.instrs.size() >= budget;
     }
-
-    /** The chunk being built (for eager-generator adapters). */
-    WarpTrace &buffer() { return trace; }
 
     /** Emit an ALU op; returns the destination register. */
     Reg alu(Op op, Reg a = kNoReg, Reg b = kNoReg,

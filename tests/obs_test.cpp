@@ -3,7 +3,7 @@
  * Tests for the observability subsystem (src/obs): TraceSink
  * recording/export invariants (disabled-path zero allocation,
  * bounded-buffer overflow accounting, merge-order determinism),
- * MetricRegistry arithmetic, the lane-schedule trace replay against
+ * counter-name slugs, the lane-schedule trace replay against
  * the op-graph ground truth, and the tentpole determinism
  * contracts — byte-identical traces across sim-thread and
  * sweep-thread counts and reruns, with every simulated statistic
@@ -21,7 +21,6 @@
 #include "graph/Generators.hpp"
 #include "models/GnnModel.hpp"
 #include "obs/GraphTrace.hpp"
-#include "obs/MetricRegistry.hpp"
 #include "obs/TraceSink.hpp"
 #include "serving/ServingScheduler.hpp"
 #include "suite/BenchSession.hpp"
@@ -148,14 +147,9 @@ TEST(TraceSink, OverflowDropsNewestAndCounts)
     EXPECT_NE(json.find("\"e0\""), std::string::npos);
     EXPECT_NE(json.find("\"e1\""), std::string::npos);
     EXPECT_EQ(json.find("\"e4\""), std::string::npos);
-    // Never silent: the drop count is embedded in the export and
-    // surfaces through the metric registry.
+    // Never silent: the drop count is embedded in the export.
     EXPECT_NE(json.find("\"trace_dropped_events\":3"),
               std::string::npos);
-    MetricRegistry reg;
-    reg.recordTrace("trace", sink);
-    EXPECT_EQ(reg.get("trace.dropped_events"), 3u);
-    EXPECT_EQ(reg.get("trace.events"), 2u);
 }
 
 TEST(TraceSink, MergedExportSortsByTimestampPerTrack)
@@ -171,34 +165,9 @@ TEST(TraceSink, MergedExportSortsByTimestampPerTrack)
 }
 
 // ---------------------------------------------------------------------------
-// MetricRegistry
+// Counter-name slugs
 
-TEST(MetricRegistry, SetAddSnapshotDelta)
-{
-    MetricRegistry reg;
-    reg.set("a.cycles", 100);
-    reg.add("a.cycles", 20);
-    reg.set("b.bytes", 7);
-    EXPECT_EQ(reg.get("a.cycles"), 120u);
-    EXPECT_EQ(reg.get("missing"), 0u);
-    EXPECT_TRUE(reg.has("b.bytes"));
-    EXPECT_FALSE(reg.has("missing"));
-    EXPECT_EQ(reg.size(), 2u);
-
-    const MetricRegistry::Snapshot before = reg.snapshot();
-    reg.add("a.cycles", 5);
-    reg.set("c.count", 3);
-    const MetricRegistry::Snapshot after = reg.snapshot();
-    const auto d = MetricRegistry::delta(before, after);
-    EXPECT_EQ(d.at("a.cycles"), 5);
-    EXPECT_EQ(d.at("b.bytes"), 0);
-    EXPECT_EQ(d.at("c.count"), 3); // new name = full value
-
-    const auto back = MetricRegistry::delta(after, before);
-    EXPECT_EQ(back.at("c.count"), -3); // removed name = negative
-}
-
-TEST(MetricRegistry, MetricSlugNormalizesLabels)
+TEST(GraphTrace, MetricSlugNormalizesLabels)
 {
     EXPECT_EQ(metricSlug("Memory Dependency"), "memory_dependency");
     EXPECT_EQ(metricSlug("ALU/FPU busy"), "alu_fpu_busy");

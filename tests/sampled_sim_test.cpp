@@ -39,18 +39,20 @@ skewedLaunch(int64_t ctas)
     l.kind = KernelClass::Aux;
     l.dims.numCtas = ctas;
     l.dims.threadsPerCta = 32;
-    l.genTrace = [](int64_t cta, int, WarpTrace &out) {
-        TraceBuilder b(out);
-        std::array<uint64_t, 32> a{};
-        for (int i = 0; i < 32; ++i)
-            a[static_cast<size_t>(i)] =
-                0x100000ull +
-                static_cast<uint64_t>(cta) * 4096ull +
-                static_cast<uint64_t>(i) * 128ull;
-        const Reg r = b.load({a.data(), 32});
-        b.alu(Op::FP32, r);
-        b.aluChain(Op::INT, 3 + static_cast<int>(cta % 13) * 4);
-        b.exit();
+    l.streamTrace = [](int64_t cta, int) -> WarpTraceStream {
+        return [cta](TraceBuilder &b) {
+            std::array<uint64_t, 32> a{};
+            for (int i = 0; i < 32; ++i)
+                a[static_cast<size_t>(i)] =
+                    0x100000ull +
+                    static_cast<uint64_t>(cta) * 4096ull +
+                    static_cast<uint64_t>(i) * 128ull;
+            const Reg r = b.load({a.data(), 32});
+            b.alu(Op::FP32, r);
+            b.aluChain(Op::INT, 3 + static_cast<int>(cta % 13) * 4);
+            b.exit();
+            return true;
+        };
     };
     l.ctaCostHint = [](int64_t cta) -> uint64_t {
         return 5 + static_cast<uint64_t>(cta % 13) * 4;

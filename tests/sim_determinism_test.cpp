@@ -2,9 +2,10 @@
  * @file
  * Determinism regression tests for the simulation engine: KernelStats
  * must be bit-identical regardless of how many launches simulate
- * concurrently, trace-chunk size, and eager-vs-streaming trace
- * representation. These invariants are what lets the suite use
- * however many cores the host offers without changing any figure.
+ * concurrently, trace-chunk size, and whether a stream emits its
+ * trace whole or suspends at the chunk budget. These invariants are
+ * what lets the suite use however many cores the host offers without
+ * changing any figure.
  */
 
 #include <gtest/gtest.h>
@@ -129,27 +130,30 @@ mixedSyntheticLaunch()
     l.kind = KernelClass::Aux;
     l.dims.numCtas = 24;
     l.dims.threadsPerCta = 128;
-    l.genTrace = [](int64_t cta, int warp, WarpTrace &out) {
-        TraceBuilder b(out);
-        b.aluChain(Op::INT, 3 + warp);
-        std::array<uint64_t, 32> a{};
-        for (int i = 0; i < 32; ++i)
-            a[static_cast<size_t>(i)] =
-                0x10000ull +
-                static_cast<uint64_t>((cta * 7 + warp * 5 + i) % 97) *
-                    256ull;
-        const Reg r = b.load({a.data(), 32});
-        b.alu(Op::FP32, r);
-        b.barrier();
-        b.sharedStore(b.sharedLoad());
-        for (int i = 0; i < 32; ++i)
-            a[static_cast<size_t>(i)] =
-                0x40000ull + static_cast<uint64_t>(cta % 5) * 4;
-        const Reg v = b.alu(Op::FP32);
-        b.atomic({a.data(), 32}, v);
-        b.aluChain(Op::FP32, 4);
-        b.store({a.data(), 8}, v);
-        b.exit();
+    l.streamTrace = [](int64_t cta, int warp) -> WarpTraceStream {
+        return [cta, warp](TraceBuilder &b) {
+            b.aluChain(Op::INT, 3 + warp);
+            std::array<uint64_t, 32> a{};
+            for (int i = 0; i < 32; ++i)
+                a[static_cast<size_t>(i)] =
+                    0x10000ull +
+                    static_cast<uint64_t>((cta * 7 + warp * 5 + i) %
+                                          97) *
+                        256ull;
+            const Reg r = b.load({a.data(), 32});
+            b.alu(Op::FP32, r);
+            b.barrier();
+            b.sharedStore(b.sharedLoad());
+            for (int i = 0; i < 32; ++i)
+                a[static_cast<size_t>(i)] =
+                    0x40000ull + static_cast<uint64_t>(cta % 5) * 4;
+            const Reg v = b.alu(Op::FP32);
+            b.atomic({a.data(), 32}, v);
+            b.aluChain(Op::FP32, 4);
+            b.store({a.data(), 8}, v);
+            b.exit();
+            return true;
+        };
     };
     return l;
 }
@@ -431,10 +435,11 @@ TEST(SimDeterminism, FastIssuePathMatchesReferenceOnAllSixKernels)
     }
 }
 
-TEST(SimDeterminism, EagerAndStreamedTracesMatch)
+TEST(SimDeterminism, OneChunkAndChunkedStreamsMatch)
 {
-    // The same logical trace, expressed eagerly and as a resumable
-    // stream, must simulate identically.
+    // The same logical trace, emitted whole as one chunk and as a
+    // stream that suspends at the chunk budget, must simulate
+    // identically.
     const int64_t iters = 200;
     auto body = [](TraceBuilder &b, int64_t i) {
         std::array<uint64_t, 8> a{};
@@ -446,40 +451,36 @@ TEST(SimDeterminism, EagerAndStreamedTracesMatch)
         b.alu(Op::FP32, r);
         b.control();
     };
-
-    KernelLaunch eager;
-    eager.name = "eager";
-    eager.dims.numCtas = 4;
-    eager.dims.threadsPerCta = 64;
-    eager.genTrace = [body](int64_t, int, WarpTrace &out) {
-        TraceBuilder b(out);
-        for (int64_t i = 0; i < iters; ++i)
-            body(b, i);
-        b.exit();
-    };
-
-    KernelLaunch streamed = eager;
-    streamed.name = "streamed";
-    streamed.genTrace = nullptr;
-    streamed.streamTrace = [body](int64_t, int) -> WarpTraceStream {
-        int64_t i = 0;
-        return [body, i](TraceBuilder &b) mutable {
-            while (i < iters && !b.full())
-                body(b, i++);
-            if (i < iters)
-                return false;
-            b.exit();
-            return true;
+    auto launch = [body](const char *name, bool chunked) {
+        KernelLaunch l;
+        l.name = name;
+        l.dims.numCtas = 4;
+        l.dims.threadsPerCta = 64;
+        l.streamTrace = [body, chunked](int64_t,
+                                        int) -> WarpTraceStream {
+            int64_t i = 0;
+            return [body, chunked, i](TraceBuilder &b) mutable {
+                while (i < iters && !(chunked && b.full()))
+                    body(b, i++);
+                if (i < iters)
+                    return false;
+                b.exit();
+                return true;
+            };
         };
+        return l;
     };
 
     SimOptions opts;
     opts.traceChunkInstrs = 64;
-    GpuSimulator sim_e(detConfig());
-    GpuSimulator sim_s(detConfig());
-    const KernelStats st_e = sim_e.run(eager, opts);
-    const KernelStats st_s = sim_s.run(streamed, opts);
-    expectStatsEqual(st_e, st_s, /*compare_trace_peak=*/false);
-    // The streamed form must actually cap resident trace memory.
-    EXPECT_LT(st_s.traceBytesPeak, st_e.traceBytesPeak);
+    GpuSimulator sim_whole(detConfig());
+    GpuSimulator sim_chunked(detConfig());
+    const KernelStats st_w =
+        sim_whole.run(launch("one_chunk", false), opts);
+    const KernelStats st_c =
+        sim_chunked.run(launch("chunked", true), opts);
+    expectStatsEqual(st_w, st_c, /*compare_trace_peak=*/false);
+    // Suspending at the budget must actually cap resident trace
+    // memory.
+    EXPECT_LT(st_c.traceBytesPeak, st_w.traceBytesPeak);
 }

@@ -135,7 +135,10 @@ TEST(SoftmaxXentTest, TraceIsWellFormed)
     const KernelLaunch l = k.makeLaunch(alloc);
     WarpTrace t;
     l.buildFullTrace(0, 0, t);
-    ASSERT_FALSE(t.instrs.empty());
+    // Per row: 2 index ops, the label load, the accumulator seed,
+    // load + exp + add per class, one control op, op + store per
+    // class, EXIT — 6 + 5 * classes.
+    ASSERT_EQ(t.instrs.size(), 6u + 5u * 4u);
     EXPECT_EQ(t.instrs.back().op, Op::EXIT);
     bool has_sfu = false;
     for (const auto &in : t.instrs)
