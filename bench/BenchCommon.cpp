@@ -48,32 +48,6 @@ sageSpmmUnsupported(const UserParams &p)
            p.framework == Framework::Gsuite;
 }
 
-SimRun
-runSimPipeline(DatasetId id, GnnModelKind model, CompModel comp,
-               const SimBenchOptions &opts)
-{
-    UserParams p;
-    p.dataset = datasetInfo(id).name;
-    p.model = model;
-    p.comp = comp;
-    p.framework = Framework::Gsuite;
-    p.engine = EngineKind::Sim;
-    p.runs = 1;
-    p.layers = opts.layers;
-    p.seed = opts.seed;
-    p.maxCtas = opts.maxCtas;
-    p.profileCaches = opts.profileCaches;
-    p.simThreads = opts.simThreads;
-    p.simParallelLaunches = opts.parallelLaunches;
-
-    const RunOutcome out = BenchSession::runPoint(p);
-    SimRun run;
-    run.timeline = out.timeline;
-    run.byClass = simStatsByClass(run.timeline);
-    run.scale = out.scaleDescription;
-    return run;
-}
-
 std::string
 pct(double fraction)
 {
@@ -81,7 +55,7 @@ pct(double fraction)
 }
 
 BenchArgs
-BenchArgs::parse(int argc, char **argv)
+BenchArgs::parse(int argc, char **argv, int defaultSweepThreads)
 {
     OptionSet opts;
     opts.parseArgs(argc, argv);
@@ -91,8 +65,8 @@ BenchArgs::parse(int argc, char **argv)
     args.csvPath = opts.getString("csv", "");
     args.quick = opts.getBool("quick", false);
     args.layers = static_cast<int>(opts.getInt("layers", 2));
-    args.sweepThreads =
-        static_cast<int>(opts.getInt("sweep-threads", 1));
+    args.sweepThreads = static_cast<int>(
+        opts.getInt("sweep-threads", defaultSweepThreads));
     args.gpus = expandGpuSpecs(opts.getString("gpu", "v100-sim"));
     args.tracePath = opts.getString("trace", "");
     if (opts.getBool("quiet", false))

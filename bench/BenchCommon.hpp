@@ -1,16 +1,15 @@
 /**
  * @file
- * Shared helpers for the per-figure bench binaries: the paper's
- * model/dataset grids and labels, common CLI flags, and a
- * convenience single-point simulator run. All grid execution lives
+ * Shared helpers for the bench binaries: the paper's model/dataset
+ * grids and labels, and common CLI flags. All grid execution lives
  * in suite/SweepSpec + suite/BenchSession; all result aggregation
- * and emission in suite/ResultStore.
+ * and emission in suite/ResultStore. bench_paper draws Figs. 5-9
+ * from one such sweep.
  */
 
 #ifndef GSUITE_BENCH_BENCHCOMMON_HPP
 #define GSUITE_BENCH_BENCHCOMMON_HPP
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -40,31 +39,6 @@ const std::vector<GnnModelKind> &paperModels();
  */
 bool sageSpmmUnsupported(const UserParams &p);
 
-/** Result of one simulated pipeline. */
-struct SimRun {
-    std::vector<KernelRecord> timeline;
-    std::map<KernelClass, KernelStats> byClass;
-    std::string scale;
-};
-
-/** Options shared by all simulator-driven benches. */
-struct SimBenchOptions {
-    bool profileCaches = false;
-    int64_t maxCtas = 2048;
-    int layers = 2;
-    uint64_t seed = 7;
-    int simThreads = 0;        ///< profiler/mem-plan workers (0 = auto)
-    int parallelLaunches = 0;  ///< concurrent launches (0 = auto)
-};
-
-/**
- * Build and simulate one pipeline at the dataset's sim scale,
- * returning per-kernel-class merged statistics. Thin wrapper over
- * BenchSession::runPoint.
- */
-SimRun runSimPipeline(DatasetId id, GnnModelKind model, CompModel comp,
-                      const SimBenchOptions &opts = {});
-
 /** Percentage formatting for figure cells. */
 std::string pct(double fraction);
 
@@ -93,7 +67,13 @@ struct BenchArgs {
      */
     std::vector<std::string> gpus{"v100-sim"};
 
-    static BenchArgs parse(int argc, char **argv);
+    /**
+     * @p defaultSweepThreads applies when --sweep-threads is absent.
+     * Benches that report wall-clock keep the serial default;
+     * counter-only sweeps may pass 0 (auto).
+     */
+    static BenchArgs parse(int argc, char **argv,
+                           int defaultSweepThreads = 1);
 
     int64_t maxCtas() const { return quick ? 256 : 2048; }
 

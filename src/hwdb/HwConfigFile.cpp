@@ -454,10 +454,6 @@ keySchema()
                            origin.c_str());
                  c.sampleSeed = static_cast<uint64_t>(parsed);
              }});
-
-        const char *debug = "debug";
-        keys.push_back(boolKey("debug.reference_issue", debug,
-                               &GpuConfig::referenceIssue));
         return keys;
     }();
     return schema;

@@ -16,7 +16,8 @@
  *   overhead.pyg.init_us 1.2e6       # framework overhead override
  *
  * Guarantees:
- *  - every GpuConfig field is addressable by a stable key;
+ *  - every GpuConfig field is addressable by a stable key, except
+ *    the test-only referenceIssue oracle switch;
  *  - unknown keys and ill-typed values are rejected with fatal();
  *  - derived parameters are cross-checked (l1d.sets / l2.sets must
  *    equal size / (line * assoc) when given, and the parsed config

@@ -14,8 +14,8 @@
  * eight equal strata of the ranked order, and sampled systematically
  * inside each stratum with a seeded fractional start — so heavy and
  * light CTAs are both represented and reruns pick byte-identical
- * samples. The assignment order interleaves strata round-robin to
- * keep the machine's concurrency mix realistic.
+ * samples. The sample is fed to the machine in grid order, so the
+ * sampled subset sees the full run's CTA arrival mix.
  *
  * Extrapolation measures per sampled CTA its residency duration and
  * issued warp instructions, forms stratified expansion estimators for
@@ -59,7 +59,7 @@ struct CtaSamplePlan {
     bool engaged = false;
     int64_t population = 0; ///< CTAs a full run would simulate
 
-    /** Sampled CTA ids in assignment order (strata interleaved). */
+    /** Sampled CTA ids in assignment order (ascending grid id). */
     std::vector<int64_t> order;
     /** Stratum of order[i] (parallel to order). */
     std::vector<int> stratumOf;

@@ -135,11 +135,11 @@ struct GpuConfig {
     SchedulerPolicy scheduler = SchedulerPolicy::Gto;
 
     /**
-     * Debug/ablation: use the pre-SoA per-warp issue path (classify
+     * Test oracle: use the pre-SoA per-warp issue path (classify
      * every resident warp every cycle) instead of the cached SoA
      * fast path. Both paths produce bit-identical statistics except
-     * the classifyEvals diagnostic; the reference path is kept as
-     * the oracle of the A/B regression tests.
+     * the classifyEvals diagnostic. Only the A/B regression tests
+     * set it, directly; it has no hwdb key.
      */
     bool referenceIssue = false;
 

@@ -443,13 +443,16 @@ BenchSession::run(const SweepSpec &spec,
                 path += suffix;
             pt.params.tracePath = path;
         }
+        // Compose budgets: sweep lanes take the worker budget
+        // first; each point's "auto" launch lanes and simThreads get
+        // the per-lane share.
+        const bool autoLaunchLanes = pt.params.simParallelLaunches == 0;
         if (lanes > 1) {
-            // Compose budgets: sweep lanes share the worker budget,
-            // so "auto" per-launch parallelism shrinks accordingly.
+            const int share = std::max(1, budget / lanes);
             if (pt.params.simThreads == 0)
-                pt.params.simThreads = std::max(1, budget / lanes);
-            if (pt.params.simParallelLaunches == 0)
-                pt.params.simParallelLaunches = 1;
+                pt.params.simThreads = share;
+            if (autoLaunchLanes)
+                pt.params.simParallelLaunches = share;
         }
         if (pt.params.cycleCeiling == 0)
             pt.params.cycleCeiling = opts.pointCycleCeiling;
@@ -480,6 +483,13 @@ BenchSession::run(const SweepSpec &spec,
         }
         if (armedId)
             watchdog.disarm(armedId);
+        // Lane-dependent metrics surface only for a user-pinned lane
+        // count: a composed one depends on the host and the sweep
+        // width, as an auto one does (see runPoint).
+        if (autoLaunchLanes) {
+            result.outcome.metrics.erase("graph_makespan_cycles");
+            result.outcome.metrics.erase("graph_lanes");
+        }
         // Custom runners may not implement tracing; never let a
         // requested --trace vanish silently. (Functional points get
         // their own warn from runPoint.)

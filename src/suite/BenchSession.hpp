@@ -9,10 +9,12 @@
  * continues.
  *
  * Threading-budget composition: with L concurrent sweep lanes and a
- * total worker budget B (default: max(L, host lanes)), every point
- * whose simThreads is "auto" (0) is resolved to max(1, B / L), and
- * auto simParallelLaunches collapse to 1, so sweep-level and
- * launch-level parallelism never multiply past the budget.
+ * total worker budget B (default: max(L, host lanes)), the budget
+ * goes to sweep lanes first: every point whose simParallelLaunches
+ * or simThreads is "auto" (0) resolves it to max(1, B / L), so
+ * sweep-level and launch-level parallelism never multiply past the
+ * budget. A composed launch-lane count stays out of the point's
+ * metrics, as an auto one does.
  */
 
 #ifndef GSUITE_SUITE_BENCHSESSION_HPP
@@ -49,8 +51,9 @@ class BenchSession
         int sweepThreads = 1;
 
         /**
-         * Total worker budget shared by sweep lanes and per-point
-         * simThreads (profiler replay and mem-plan levels).
+         * Total worker budget, split over sweep lanes first: each
+         * point's auto launch lanes and auto simThreads (profiler
+         * replay and mem-plan levels) get budget / lanes.
          * 0 = auto: max(lanes, host lanes).
          */
         int threadBudget = 0;

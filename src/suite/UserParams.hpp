@@ -103,21 +103,25 @@ struct UserParams {
 
     /**
      * Worker threads for HwProfiler cache replay and mem-plan level
-     * execution (0 = auto). A simulated launch always runs on one
+     * execution (0 = auto; in a multi-lane BenchSession, the
+     * per-lane budget share). A simulated launch always runs on one
      * thread. Statistics are bit-identical for every value.
      */
     int simThreads = 0;
     /**
      * Independent launches simulated concurrently by the sim engine
-     * (1 = serial, 0 = auto).
+     * (1 = serial, 0 = auto: min(4, host lanes); in a multi-lane
+     * BenchSession, the per-lane budget share). Statistics are
+     * bit-identical for every value.
      */
     int simParallelLaunches = 1;
 
     /**
      * Sweep points executed concurrently by a BenchSession
-     * (1 = serial, 0 = auto). BenchSession composes this with the
-     * per-point simThreads budget so the total worker count stays
-     * bounded (see src/suite/README.md).
+     * (1 = serial, 0 = auto). BenchSession splits the worker budget
+     * over sweep lanes first, then per-point launch lanes and
+     * simThreads, so the total worker count stays bounded (see
+     * src/suite/README.md).
      */
     int sweepThreads = 1;
 

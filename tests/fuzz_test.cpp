@@ -771,8 +771,9 @@ TEST_P(FuzzSeeds, RandomOpGraphPlansAreSafeAndNeverWorseThanNaive)
         const MemPlan sliced = MemPlan::build(g, opts);
         sliced.verify(g);
         checkNoOverlappingLiveIntervals(sliced);
-        if (sliced.fitsBudget())
+        if (sliced.fitsBudget()) {
             EXPECT_LE(sliced.peakBytes(), budget);
+        }
         EXPECT_GE(sliced.numWaves(), 1u);
         EXPECT_LE(sliced.numWaves(), parts);
     } else {
@@ -786,8 +787,9 @@ TEST_P(FuzzSeeds, RandomOpGraphPlansAreSafeAndNeverWorseThanNaive)
         ASSERT_TRUE(sp.plan.fullSpanCoverage());
         sp.plan.verify(sp.graph);
         checkNoOverlappingLiveIntervals(sp.plan);
-        if (sp.plan.fitsBudget())
+        if (sp.plan.fitsBudget()) {
             EXPECT_LE(sp.plan.peakBytes(), budget);
+        }
         FunctionalEngine rerun;
         rerun.run(sp.graph);
         for (size_t m = 0; m < snap.size(); ++m) {

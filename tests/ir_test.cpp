@@ -299,8 +299,9 @@ TEST(OpGraphCosts, SerialCriticalPathAndMakespanAreConsistent)
         const uint64_t ms = ops.makespan(costs, lanes);
         EXPECT_GE(ms, cp) << lanes;
         EXPECT_LE(ms, serial) << lanes;
-        if (lanes == 1)
+        if (lanes == 1) {
             EXPECT_EQ(ms, serial);
+        }
         // Deterministic: same inputs, same answer.
         EXPECT_EQ(ms, ops.makespan(costs, lanes)) << lanes;
     }

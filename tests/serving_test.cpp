@@ -164,8 +164,9 @@ TEST(RequestStream, SeededStreamsAreBitIdentical)
         EXPECT_LT(a[i].arrivalCycle, 1'000'000u);
         EXPECT_EQ(a[i].deadlineCycle, a[i].arrivalCycle + 5'000);
         EXPECT_EQ(a[i].priority, 1);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(a[i].arrivalCycle, a[i - 1].arrivalCycle);
+        }
     }
 }
 

@@ -219,8 +219,11 @@ TEST(BenchSession, BatchedPointRunsMergedGraph)
 TEST(BenchSession, SweepThreadInvariance)
 {
     // The acceptance bar: a sweep at --sweep-threads 1 and 4 yields
-    // identical ResultStore contents (deterministic fields).
-    const SweepSpec spec = tinySimSpec();
+    // identical ResultStore contents (deterministic fields). Launch
+    // lanes are auto, as in every bench's simBase(), so the session
+    // composes them.
+    SweepSpec spec = tinySimSpec();
+    spec.configure([](UserParams &p) { p.simParallelLaunches = 0; });
 
     BenchSession::Options serial;
     serial.sweepThreads = 1;
@@ -258,6 +261,10 @@ TEST(BenchSession, SweepThreadInvariance)
         ASSERT_EQ(ra.simByClass.size(), rb.simByClass.size());
         for (const auto &[cls, st] : ra.simByClass)
             EXPECT_EQ(st.cycles, rb.simByClass.at(cls).cycles);
+        // Lane-dependent metrics appear only when the user pins the
+        // launch lanes, never because the sweep width composed them.
+        EXPECT_EQ(ra.outcome.metrics, rb.outcome.metrics);
+        EXPECT_EQ(rb.outcome.metrics.count("graph_lanes"), 0u);
     }
 }
 
@@ -321,13 +328,21 @@ TEST(BenchSession, ComposesThreadBudgetAcrossLanes)
     opts.threadBudget = 8;
     std::atomic<int> max_seen{0};
     const SweepSpec spec =
-        SweepSpec{}.models({GnnModelKind::Gcn, GnnModelKind::Gin});
+        SweepSpec{}
+            .models({GnnModelKind::Gcn, GnnModelKind::Gin})
+            .variants(
+                {{"pinned",
+                  [](UserParams &p) { p.simParallelLaunches = 1; }},
+                 {"auto",
+                  [](UserParams &p) { p.simParallelLaunches = 0; }}});
     BenchSession(opts).run(spec, [&](const SweepPoint &pt) {
-        // Auto (0) per-point threads resolve to budget / lanes.
+        // Auto (0) per-point threads and launch lanes resolve to
+        // budget / lanes; a pinned lane count stays.
         max_seen = std::max(max_seen.load(),
                             pt.params.simThreads);
         EXPECT_EQ(pt.params.simThreads, 4);
-        EXPECT_EQ(pt.params.simParallelLaunches, 1);
+        EXPECT_EQ(pt.params.simParallelLaunches,
+                  pt.variant == "auto" ? 4 : 1);
         RunOutcome out;
         out.params = pt.params;
         return out;
