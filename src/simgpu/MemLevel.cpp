@@ -13,42 +13,40 @@ void
 MshrTable::configure(const MshrConfig &c)
 {
     cfg = c;
-    entries.assign(static_cast<size_t>(cfg.entries), Entry{});
+    const size_t n = static_cast<size_t>(cfg.entries);
+    lines.assign(n, 0);
+    releaseAt.assign(n, 0);
+    merges.assign(n, 0);
 }
 
 void
 MshrTable::reset()
 {
-    for (Entry &e : entries) {
-        e.used = false;
-        e.releaseAt = 0;
-        e.merges = 0;
-    }
+    std::fill(releaseAt.begin(), releaseAt.end(), uint64_t{0});
+    std::fill(merges.begin(), merges.end(), 0);
 }
 
 bool
 MshrTable::ready(uint64_t cycle) const
 {
     int busy = 0;
-    for (const Entry &e : entries) {
-        if (busyAt(e, cycle) && ++busy >= cfg.hitUnderMiss)
-            return false;
-    }
-    return true;
+    for (const uint64_t r : releaseAt)
+        busy += r > cycle;
+    return busy < cfg.hitUnderMiss;
 }
 
 uint64_t
 MshrTable::nextRelease(uint64_t cycle) const
 {
-    uint64_t next = 0;
-    for (const Entry &e : entries) {
-        if (!busyAt(e, cycle))
-            continue;
-        if (e.releaseAt == kPendingRelease)
-            return kPendingRelease; // unknown: re-poll next cycle
-        next = next ? std::min(next, e.releaseAt) : e.releaseAt;
+    uint64_t next = kPendingRelease;
+    bool unknown = false;
+    for (const uint64_t r : releaseAt) {
+        unknown |= r == kPendingRelease;
+        next = r > cycle ? std::min(next, r) : next;
     }
-    return next;
+    if (unknown)
+        return kPendingRelease;
+    return next == kPendingRelease ? 0 : next;
 }
 
 int
@@ -63,24 +61,22 @@ MshrTable::acquire(uint64_t line, uint64_t &at)
     // flip the entry back to busy retroactively, i.e. the table
     // could go ready -> full without an acquire, which the issue
     // logic is allowed to assume never happens.
-    for (size_t i = 0; i < entries.size(); ++i) {
-        Entry &e = entries[i];
-        if (busyAt(e, at) && e.line == line &&
-            e.merges < cfg.maxMerges) {
-            ++e.merges;
-            e.releaseAt = kPendingRelease;
+    const size_t n = releaseAt.size();
+    for (size_t i = 0; i < n; ++i) {
+        if (lines[i] == line && releaseAt[i] > at &&
+            merges[i] < cfg.maxMerges) {
+            ++merges[i];
+            releaseAt[i] = kPendingRelease;
             return static_cast<int>(i);
         }
     }
     for (;;) {
-        for (size_t i = 0; i < entries.size(); ++i) {
-            Entry &e = entries[i];
-            if (busyAt(e, at))
+        for (size_t i = 0; i < n; ++i) {
+            if (releaseAt[i] > at)
                 continue;
-            e.line = line;
-            e.releaseAt = kPendingRelease;
-            e.merges = 1;
-            e.used = true;
+            lines[i] = line;
+            releaseAt[i] = kPendingRelease;
+            merges[i] = 1;
             return static_cast<int>(i);
         }
         // Full: wait for the earliest known release, then retake.
@@ -95,14 +91,14 @@ void
 MshrTable::release(int entry, uint64_t release_at)
 {
     panicIf(entry < 0 ||
-                entry >= static_cast<int>(entries.size()),
+                entry >= static_cast<int>(releaseAt.size()),
             "MSHR release out of range");
-    Entry &e = entries[static_cast<size_t>(entry)];
-    panicIf(!e.used, "MSHR release of an unclaimed entry");
-    if (e.releaseAt == kPendingRelease)
-        e.releaseAt = release_at;
+    const size_t i = static_cast<size_t>(entry);
+    panicIf(merges[i] == 0, "MSHR release of an unclaimed entry");
+    if (releaseAt[i] == kPendingRelease)
+        releaseAt[i] = release_at;
     else
-        e.releaseAt = std::max(e.releaseAt, release_at);
+        releaseAt[i] = std::max(releaseAt[i], release_at);
 }
 
 // --- DramChannel ------------------------------------------------------

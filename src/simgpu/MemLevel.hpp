@@ -35,6 +35,13 @@ namespace gsuite {
  * is outstanding (release pending) or until its release cycle
  * passes; freeing is lazy — acquire() treats any entry whose
  * release is <= the access time as reusable.
+ *
+ * Entries are stored as parallel arrays, so every query is a short
+ * scan of one or two contiguous arrays. A never-claimed entry reads
+ * releaseAt == 0 and merges == 0; "busy at cycle c" is therefore
+ * releaseAt > c (kPendingRelease exceeds every cycle), and "claimed
+ * since reset" is merges > 0, which stays true for an entry released
+ * at cycle 0. Merges and free entries are taken lowest index first.
  */
 class MshrTable
 {
@@ -51,10 +58,11 @@ class MshrTable
     bool ready(uint64_t cycle) const;
 
     /**
-     * Earliest cycle after @p cycle at which a busy entry releases.
-     * kPendingRelease when there are busy entries whose release is
-     * not yet known (fill still being resolved) — callers must then
-     * re-poll next cycle rather than skip ahead.
+     * Earliest cycle after @p cycle at which a busy entry releases,
+     * or 0 when no entry is busy. kPendingRelease when there are
+     * busy entries whose release is not yet known (fill still being
+     * resolved) — callers must then re-poll next cycle rather than
+     * skip ahead.
      */
     uint64_t nextRelease(uint64_t cycle) const;
 
@@ -75,21 +83,10 @@ class MshrTable
     void release(int entry, uint64_t release_at);
 
   private:
-    struct Entry {
-        uint64_t line = 0;
-        uint64_t releaseAt = 0; ///< kPendingRelease while unknown
-        int merges = 0;
-        bool used = false; ///< ever claimed since reset
-    };
-
-    std::vector<Entry> entries;
+    std::vector<uint64_t> lines;
+    std::vector<uint64_t> releaseAt; ///< kPendingRelease while unknown
+    std::vector<int> merges;         ///< 0 = not claimed since reset
     MshrConfig cfg;
-
-    bool busyAt(const Entry &e, uint64_t cycle) const
-    {
-        return e.used &&
-               (e.releaseAt == kPendingRelease || e.releaseAt > cycle);
-    }
 };
 
 /**

@@ -181,12 +181,15 @@ MemorySystem::beginAccess(int sm, uint64_t cycle,
         return true;
     }
     req.active = true;
+    ++numParked;
     return false;
 }
 
 void
 MemorySystem::resolveSlice(int slice)
 {
+    if (numParked == 0)
+        return; // no sector to service, no ticket to redeem
     Slice &sl = *slices[static_cast<size_t>(slice)];
     sl.dram.beginCycle();
 
@@ -310,6 +313,7 @@ MemorySystem::finishAccess(int sm, KernelStats &stats)
     if (req.kind == MemAccessKind::Atomic)
         completion += 2 * static_cast<uint64_t>(req.maxConflict);
     req.active = false;
+    --numParked;
     return completion;
 }
 
@@ -368,6 +372,7 @@ MemorySystem::reset()
     }
     for (auto &req : parked)
         req = ParkedReq{};
+    numParked = 0;
 }
 
 } // namespace gsuite

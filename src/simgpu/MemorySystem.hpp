@@ -22,6 +22,8 @@
  *     (cycle, slice, sm). A sector can be back-pressured (L2 MSHRs
  *     exhausted or the DRAM queue full); it then retries on the next
  *     resolveSlice() call, which keeps its SM parked across cycles.
+ *     While no SM has a parked request the phase returns at once:
+ *     there is no sector to service and no DRAM ticket to redeem.
  *  3. finishAccess() — called while the owning SM steps, once
  *     parkedComplete(). Merges per-sector completions, applies L1
  *     fills, releases L1 MSHR entries, and folds the slice-side
@@ -225,6 +227,7 @@ class MemorySystem
     std::vector<std::unique_ptr<CacheLevel>> l1;
     std::vector<std::unique_ptr<Slice>> slices;
     std::vector<ParkedReq> parked; ///< one slot per SM
+    int numParked = 0;             ///< SMs with an active request
     /** Fractional cycle bookkeeping: DRAM service is sub-cycle. */
     double dramCyclesPerSector; ///< per slice
 

@@ -10,15 +10,6 @@ namespace {
 
 constexpr uint64_t kNoEvent = ~uint64_t{0};
 
-/** std::push_heap/pop_heap comparator for a min-heap on key. */
-struct HeapLater {
-    bool
-    operator()(const auto &a, const auto &b) const
-    {
-        return a.key > b.key;
-    }
-};
-
 } // namespace
 
 Sm::Sm(const GpuConfig &cfg, int sm_id, MemorySystem &mem)
@@ -87,9 +78,6 @@ Sm::beginLaunch(const KernelLaunch *new_launch, KernelStats *new_stats,
             list.clear();
     std::fill(readyPos.begin(), readyPos.end(), -1);
     std::fill(residentBySched.begin(), residentBySched.end(), 0);
-    dueHeap.clear();
-    dueSlots.clear();
-    issuedRecheck.clear();
     stallCount.fill(0);
     lsuFree = 0;
     residentWarps = 0;
@@ -180,7 +168,6 @@ Sm::assignCta(int64_t cta_id, uint64_t cycle)
         slotReason[static_cast<size_t>(slot)] =
             static_cast<uint8_t>(StallReason::NotSelected);
         ++stallCount[static_cast<size_t>(StallReason::NotSelected)];
-        pushDue(0, slot);
         ++residentBySched[static_cast<size_t>(
             slot % cfg.numSchedulers)];
         cta->warpSlots.push_back(slot);
@@ -214,29 +201,6 @@ Sm::refillChunk(WarpCtx &w)
 }
 
 void
-Sm::pushDue(uint64_t key, int slot)
-{
-    // Lazy heap: entries are claims, validated against slotExpiry at
-    // pop time. Compaction bounds the stale backlog; rebuilding from
-    // the authoritative arrays cannot change any observable result.
-    if (dueHeap.size() >
-        static_cast<size_t>(8 * cfg.maxWarpsPerSm + 64)) {
-        dueHeap.clear();
-        for (int i = 0; i < cfg.maxWarpsPerSm; ++i) {
-            if (slotActive[static_cast<size_t>(i)] &&
-                slotExpiry[static_cast<size_t>(i)] != kNoEvent)
-                dueHeap.push_back(
-                    {slotExpiry[static_cast<size_t>(i)], i});
-        }
-        std::make_heap(dueHeap.begin(), dueHeap.end(), HeapLater{});
-        if (slotExpiry[static_cast<size_t>(slot)] != kNoEvent)
-            return; // the rebuild already holds this slot's claim
-    }
-    dueHeap.push_back({key, slot});
-    std::push_heap(dueHeap.begin(), dueHeap.end(), HeapLater{});
-}
-
-void
 Sm::setReason(int slot, StallReason reason)
 {
     const size_t i = static_cast<size_t>(slot);
@@ -251,10 +215,8 @@ Sm::setReason(int slot, StallReason reason)
 void
 Sm::markDirty(int slot, uint64_t at_cycle)
 {
-    if (slotExpiry[static_cast<size_t>(slot)] > at_cycle) {
-        slotExpiry[static_cast<size_t>(slot)] = at_cycle;
-        pushDue(at_cycle, slot);
-    }
+    uint64_t &expiry = slotExpiry[static_cast<size_t>(slot)];
+    expiry = std::min(expiry, at_cycle);
 }
 
 void
@@ -470,9 +432,6 @@ Sm::reclassify(int slot, uint64_t cycle)
                           ? 1
                           : 0;
     slotLanes[i] = static_cast<uint8_t>(in.activeLanes());
-
-    if (expiry != kNoEvent)
-        pushDue(expiry, slot);
 
     if (reason == StallReason::NotSelected) {
         if (readyPos[i] < 0)
@@ -693,9 +652,10 @@ Sm::stepCycle(uint64_t cycle, uint64_t &next_event)
 /**
  * SoA fast path. Three stages, mirroring the reference passes:
  *
- *  A. batched sweep in slot order re-deriving only the expired
- *     cached classifications (and refilling their trace chunks —
- *     slot order fixes the refill order the footprint peak sees);
+ *  A. one slot-order scan of slotExpiry re-deriving only the
+ *     expired cached classifications (and refilling their trace
+ *     chunks — slot order fixes the refill order the footprint peak
+ *     sees);
  *  B. per-scheduler issue from the incrementally maintained
  *     per-port ready lists (GTO: sticky first, else the oldest
  *     free-port head; LRR: rotation over the scheduler's fixed
@@ -712,33 +672,16 @@ Sm::stepCycleFast(uint64_t cycle, uint64_t &next_event)
 {
     lastOcc.fill(0);
 
-    // Stage A: drain every due expiry claim and re-derive those
-    // classifications in slot-index order (slot order fixes the
-    // chunk-refill order, which the trace-footprint peak sees).
-    // Last cycle's issued slots are due by construction and skip
-    // the heap entirely.
-    dueSlots.clear();
-    for (const int slot : issuedRecheck) {
-        if (slotActive[static_cast<size_t>(slot)] &&
-            slotExpiry[static_cast<size_t>(slot)] <= cycle)
-            dueSlots.push_back(slot);
-    }
-    issuedRecheck.clear();
-    while (!dueHeap.empty() && dueHeap.front().key <= cycle) {
-        const int slot = dueHeap.front().slot;
-        std::pop_heap(dueHeap.begin(), dueHeap.end(), HeapLater{});
-        dueHeap.pop_back();
-        if (slotActive[static_cast<size_t>(slot)] &&
-            slotExpiry[static_cast<size_t>(slot)] <= cycle)
-            dueSlots.push_back(slot);
-    }
-    if (dueSlots.size() > 1)
-        std::sort(dueSlots.begin(), dueSlots.end());
-    for (const int slot : dueSlots) {
-        // Duplicate claims resolve here: the first visit raises the
-        // expiry past `cycle`, later ones no-op.
-        if (slotExpiry[static_cast<size_t>(slot)] <= cycle)
-            reclassify(slot, cycle);
+    // Stage A: re-derive every resident slot whose cached
+    // classification has expired, in slot-index order (slot order
+    // fixes the chunk-refill order, which the trace-footprint peak
+    // sees). reclassify() touches no other slot's expiry, so the due
+    // set is fixed before the scan starts.
+    const int nw = cfg.maxWarpsPerSm;
+    for (int i = 0; i < nw; ++i) {
+        const size_t si = static_cast<size_t>(i);
+        if (slotExpiry[si] <= cycle && slotActive[si])
+            reclassify(i, cycle);
     }
 
     bool issued_any = false;
@@ -781,7 +724,6 @@ Sm::stepCycleFast(uint64_t cycle, uint64_t &next_event)
             if (slotActive[i]) {
                 setReason(slot, StallReason::Issued);
                 slotExpiry[i] = cycle + 1;
-                issuedRecheck.push_back(slot);
             }
             readyRemove(slot);
             issued = true;
@@ -898,11 +840,10 @@ Sm::stepCycleFast(uint64_t cycle, uint64_t &next_event)
     // consumed on no-issue cycles — the simulator ignores next_event
     // whenever any SM issued, and idleUntil requires no local issue —
     // and every such cycle opens a fast-forward window, so the
-    // unblock sweep runs only then instead of maintaining a second
-    // heap on every classification change.
+    // unblock sweep runs only then instead of maintaining an ordered
+    // event structure on every classification change.
     lastStall = stallCount;
     if (!issued_any) {
-        const int nw = cfg.maxWarpsPerSm;
         for (int i = 0; i < nw; ++i) {
             const size_t si = static_cast<size_t>(i);
             if (!slotActive[si])

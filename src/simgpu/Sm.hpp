@@ -15,17 +15,16 @@
  * at `slotExpiry` (the earliest cycle the cached class could read
  * differently) or after an explicit state change (issue, memory
  * completion, barrier release, CTA assignment). The per-cycle work
- * is event-driven: expired classifications drain from a lazy
- * min-heap and re-derive in a batched slot-order sweep, schedulers
- * issue in O(1) from incrementally maintained per-port ready
- * lists, and the Fig. 6 stall attribution comes from incrementally
- * maintained per-class counts — no per-warp virtual-register
- * scoreboard walk per cycle (the earliest stall-clear event is
- * swept only on no-issue cycles, each of which opens a
- * fast-forward window). The pre-SoA path is kept verbatim behind
- * GpuConfig::referenceIssue; both paths produce bit-identical
- * statistics (KernelStats::classifyEvals, a diagnostic, is the
- * single intended exception), enforced by
+ * is event-driven: one slot-order scan of slotExpiry re-derives the
+ * expired classifications, schedulers issue in O(1) from
+ * incrementally maintained per-port ready lists, and the Fig. 6
+ * stall attribution comes from incrementally maintained per-class
+ * counts — no per-warp virtual-register scoreboard walk per cycle
+ * (the earliest stall-clear event is swept only on no-issue cycles,
+ * each of which opens a fast-forward window). The pre-SoA path is
+ * kept verbatim behind GpuConfig::referenceIssue; both paths produce
+ * bit-identical statistics (KernelStats::classifyEvals, a
+ * diagnostic, is the single intended exception), enforced by
  * tests/sim_determinism_test and tests/fuzz_test.
  *
  * Cycle skipping: when nothing issued and every warp's unblock
@@ -209,9 +208,11 @@ class Sm
     // (slotReason, slotUnblock) equal what the reference classify()
     // would return this cycle, provided slotExpiry[i] > cycle. Any
     // mutation of warp state that could change the classification
-    // must lower slotExpiry (markDirty) so the next sweep
+    // must lower slotExpiry (markDirty) so the next step's scan
     // re-derives it; reclassify() keeps the per-scheduler ready
-    // lists in sync with slotReason.
+    // lists in sync with slotReason. slotExpiry is the only record
+    // of what is due: each step scans it in slot order, so the due
+    // set is exactly the active slots with slotExpiry <= cycle.
     std::vector<uint8_t> slotActive;   ///< resident and not done
     std::vector<uint8_t> slotReason;   ///< cached StallReason
     std::vector<uint64_t> slotUnblock; ///< cycle the stall clears
@@ -238,25 +239,6 @@ class Sm
     std::vector<int> readyPos; ///< slot -> index in its list, -1 none
     std::vector<uint8_t> slotReadyKind; ///< list a ready slot is in
     std::vector<int> residentBySched; ///< resident warps / scheduler
-    /**
-     * Slots that issued this cycle: cheaper than a heap round-trip
-     * for the guaranteed next-cycle re-classification.
-     */
-    std::vector<int> issuedRecheck;
-
-    /**
-     * Lazy min-heap entry: a (cycle, slot) claim that something about
-     * the slot happens at `key`. Entries are never searched or
-     * removed in place — a popped/peeked entry is re-validated
-     * against the authoritative SoA arrays and discarded when stale.
-     */
-    struct EventEntry {
-        uint64_t key;
-        int slot;
-    };
-    /** Expiry claims: pop everything <= cycle, reclassify. */
-    std::vector<EventEntry> dueHeap;
-    std::vector<int> dueSlots; ///< per-cycle scratch (sorted sweep)
     /** Active slots per cached stall class (incremental Fig. 6). */
     std::array<uint64_t, kNumStallReasons> stallCount{};
 
@@ -294,7 +276,6 @@ class Sm
     void markDirty(int slot, uint64_t at_cycle);
     void readyInsert(int slot);
     void readyRemove(int slot);
-    void pushDue(uint64_t key, int slot);
     void setReason(int slot, StallReason reason);
     void reclassify(int slot, uint64_t cycle);
     bool stepCycleFast(uint64_t cycle, uint64_t &next_event);

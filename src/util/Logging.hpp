@@ -68,12 +68,18 @@ void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
     __attribute__((format(printf, 1, 2)));
 
 /**
- * Check an internal invariant; panics with the message if it fails.
+ * Panic with @p what when @p cond holds. Inline and allocation-free:
+ * hot simulator paths check invariants on every cycle.
  *
- * @param cond Condition that must hold.
+ * @param cond Violation condition.
  * @param what Description used in the panic message.
  */
-void panicIf(bool cond, const std::string &what);
+inline void
+panicIf(bool cond, const char *what)
+{
+    if (cond) [[unlikely]]
+        panic("%s", what);
+}
 
 /** The calling thread's current log prefix ("" when none). */
 const std::string &logPrefix();

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <string>
 #include <vector>
 
 #include "engine/ExecutionEngine.hpp"
@@ -409,28 +411,50 @@ TEST(SimDeterminism, FastIssuePathMatchesReferenceOnAllSixKernels)
     launches.push_back(ew.makeLaunch(alloc));
     ASSERT_EQ(launches.size(), 6u);
 
+    // A second machine: one SM with 96 warp slots, so every launch's
+    // CTAs share one SM and slots 64-95 hold resident warps (the
+    // expiry scan must not assume at most 64 slots).
+    GpuConfig wide = detConfig();
+    wide.numSms = 1;
+    wide.maxWarpsPerSm = 96;
+    wide.maxThreadsPerSm = 3072;
+    bool wide_fills_past_64 = false;
+    for (const KernelLaunch &launch : launches) {
+        const int wpc = launch.dims.warpsPerCta();
+        const int64_t resident_ctas = std::min<int64_t>(
+            {wide.maxCtasPerSm, wide.maxWarpsPerSm / wpc,
+             wide.maxThreadsPerSm / launch.dims.threadsPerCta,
+             launch.dims.numCtas});
+        wide_fills_past_64 |= resident_ctas * wpc > 64;
+    }
+    ASSERT_TRUE(wide_fills_past_64);
+
     SimOptions opts;
     opts.maxCtas = 96;
-    for (const SchedulerPolicy pol :
-         {SchedulerPolicy::Gto, SchedulerPolicy::Lrr}) {
-        GpuConfig fast_cfg = detConfig();
-        fast_cfg.scheduler = pol;
-        GpuConfig ref_cfg = fast_cfg;
-        ref_cfg.referenceIssue = true;
-        GpuSimulator fast_sim(fast_cfg);
-        GpuSimulator ref_sim(ref_cfg);
-        for (const KernelLaunch &launch : launches) {
-            const KernelStats fast = fast_sim.run(launch, opts);
-            const KernelStats ref = ref_sim.run(launch, opts);
-            SCOPED_TRACE(std::string(launch.name) + " / " +
-                         schedulerPolicyName(pol));
-            expectStatsEqual(fast, ref,
-                             /*compare_trace_peak=*/true,
-                             /*compare_classify_evals=*/false);
-            // The fast path must actually be lazier than re-deriving
-            // every resident warp every cycle.
-            EXPECT_LT(fast.classifyEvals, ref.classifyEvals)
-                << launch.name;
+    for (const GpuConfig &machine : {detConfig(), wide}) {
+        for (const SchedulerPolicy pol :
+             {SchedulerPolicy::Gto, SchedulerPolicy::Lrr}) {
+            GpuConfig fast_cfg = machine;
+            fast_cfg.scheduler = pol;
+            GpuConfig ref_cfg = fast_cfg;
+            ref_cfg.referenceIssue = true;
+            GpuSimulator fast_sim(fast_cfg);
+            GpuSimulator ref_sim(ref_cfg);
+            for (const KernelLaunch &launch : launches) {
+                const KernelStats fast = fast_sim.run(launch, opts);
+                const KernelStats ref = ref_sim.run(launch, opts);
+                SCOPED_TRACE(std::string(launch.name) + " / " +
+                             schedulerPolicyName(pol) + " / " +
+                             std::to_string(machine.maxWarpsPerSm) +
+                             " warps per SM");
+                expectStatsEqual(fast, ref,
+                                 /*compare_trace_peak=*/true,
+                                 /*compare_classify_evals=*/false);
+                // The fast path must actually be lazier than
+                // re-deriving every resident warp every cycle.
+                EXPECT_LT(fast.classifyEvals, ref.classifyEvals)
+                    << launch.name;
+            }
         }
     }
 }

@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <string>
+#include <vector>
 
 #include "simgpu/Cache.hpp"
 #include "simgpu/DeviceAllocator.hpp"
@@ -18,6 +21,7 @@
 #include "simgpu/MemLevel.hpp"
 #include "simgpu/MemorySystem.hpp"
 #include "simgpu/Trace.hpp"
+#include "util/Random.hpp"
 
 using namespace gsuite;
 
@@ -223,6 +227,215 @@ TEST(MshrTable, ReadyHonorsHitUnderMissLimit)
     t.release(1, 30);
     EXPECT_FALSE(t.ready(5));
     EXPECT_TRUE(t.ready(10)); // entry 0 released at 10
+}
+
+namespace {
+
+/**
+ * Oracle for the MshrTable differential test: the entry-scan table
+ * the parallel-array layout replaced, one struct per entry with an
+ * explicit "claimed since reset" flag.
+ */
+class EntryScanMshrTable
+{
+  public:
+    explicit EntryScanMshrTable(const MshrConfig &c)
+        : cfg(c), entries(static_cast<size_t>(c.entries))
+    {
+    }
+
+    void
+    reset()
+    {
+        for (Entry &e : entries) {
+            e.used = false;
+            e.releaseAt = 0;
+            e.merges = 0;
+        }
+    }
+
+    bool
+    ready(uint64_t cycle) const
+    {
+        int busy = 0;
+        for (const Entry &e : entries) {
+            if (busyAt(e, cycle) && ++busy >= cfg.hitUnderMiss)
+                return false;
+        }
+        return true;
+    }
+
+    uint64_t
+    nextRelease(uint64_t cycle) const
+    {
+        uint64_t next = 0;
+        for (const Entry &e : entries) {
+            if (!busyAt(e, cycle))
+                continue;
+            if (e.releaseAt == MshrTable::kPendingRelease)
+                return MshrTable::kPendingRelease;
+            next = next ? std::min(next, e.releaseAt) : e.releaseAt;
+        }
+        return next;
+    }
+
+    int
+    acquire(uint64_t line, uint64_t &at)
+    {
+        for (size_t i = 0; i < entries.size(); ++i) {
+            Entry &e = entries[i];
+            if (busyAt(e, at) && e.line == line &&
+                e.merges < cfg.maxMerges) {
+                ++e.merges;
+                e.releaseAt = MshrTable::kPendingRelease;
+                return static_cast<int>(i);
+            }
+        }
+        for (;;) {
+            for (size_t i = 0; i < entries.size(); ++i) {
+                Entry &e = entries[i];
+                if (busyAt(e, at))
+                    continue;
+                e.line = line;
+                e.releaseAt = MshrTable::kPendingRelease;
+                e.merges = 1;
+                e.used = true;
+                return static_cast<int>(i);
+            }
+            const uint64_t rel = nextRelease(at);
+            if (rel == MshrTable::kPendingRelease || rel == 0)
+                return -1;
+            at = rel;
+        }
+    }
+
+    void
+    release(int entry, uint64_t release_at)
+    {
+        Entry &e = entries[static_cast<size_t>(entry)];
+        if (e.releaseAt == MshrTable::kPendingRelease)
+            e.releaseAt = release_at;
+        else
+            e.releaseAt = std::max(e.releaseAt, release_at);
+    }
+
+    /** Entries release() accepts (claimed since the last reset). */
+    std::vector<int>
+    claimed() const
+    {
+        std::vector<int> out;
+        for (size_t i = 0; i < entries.size(); ++i) {
+            if (entries[i].used)
+                out.push_back(static_cast<int>(i));
+        }
+        return out;
+    }
+
+  private:
+    struct Entry {
+        uint64_t line = 0;
+        uint64_t releaseAt = 0;
+        int merges = 0;
+        bool used = false;
+    };
+
+    MshrConfig cfg;
+    std::vector<Entry> entries;
+
+    static bool
+    busyAt(const Entry &e, uint64_t cycle)
+    {
+        return e.used && (e.releaseAt == MshrTable::kPendingRelease ||
+                          e.releaseAt > cycle);
+    }
+};
+
+} // namespace
+
+TEST(MshrTable, MatchesEntryScanOracleOnRandomSequences)
+{
+    // Seeded random acquire/release/ready/nextRelease/reset sequences
+    // on small tables: every return value and every adjusted `at`
+    // must match the entry-scan oracle. Few distinct lines force
+    // merges; releases include cycle 0 and repeated releases of one
+    // (merged) entry.
+    Rng rng(2024);
+    for (int round = 0; round < 400; ++round) {
+        MshrConfig mc;
+        mc.entries = 1 + static_cast<int>(rng.nextBelow(8));
+        mc.maxMerges = 1 + static_cast<int>(rng.nextBelow(4));
+        mc.hitUnderMiss =
+            1 + static_cast<int>(rng.nextBelow(
+                    static_cast<uint64_t>(mc.entries)));
+        SCOPED_TRACE("round " + std::to_string(round) + ": entries " +
+                     std::to_string(mc.entries) + ", merges " +
+                     std::to_string(mc.maxMerges) + ", hum " +
+                     std::to_string(mc.hitUnderMiss));
+        MshrTable table;
+        table.configure(mc);
+        EntryScanMshrTable oracle(mc);
+        uint64_t now = 0;
+        int last_released = -1;
+        for (int op = 0; op < 200; ++op) {
+            SCOPED_TRACE("op " + std::to_string(op));
+            now += rng.nextBelow(4);
+            const uint64_t kind = rng.nextBelow(100);
+            if (kind < 35) {
+                const uint64_t line = rng.nextBelow(4);
+                uint64_t at_t = now + rng.nextBelow(3);
+                uint64_t at_o = at_t;
+                ASSERT_EQ(table.acquire(line, at_t),
+                          oracle.acquire(line, at_o));
+                ASSERT_EQ(at_t, at_o);
+            } else if (kind < 60) {
+                const std::vector<int> claimed = oracle.claimed();
+                if (claimed.empty())
+                    continue;
+                // Re-release the previous entry a third of the time
+                // (a merged entry's fills extend its release).
+                int entry = claimed[static_cast<size_t>(
+                    rng.nextBelow(claimed.size()))];
+                if (last_released >= 0 && rng.nextBelow(3) == 0)
+                    entry = last_released;
+                const uint64_t at = rng.nextBelow(8) == 0
+                                        ? 0
+                                        : now + rng.nextBelow(20);
+                table.release(entry, at);
+                oracle.release(entry, at);
+                last_released = entry;
+            } else if (kind < 78) {
+                const uint64_t c = now + rng.nextBelow(10);
+                ASSERT_EQ(table.ready(c), oracle.ready(c)) << c;
+            } else if (kind < 96) {
+                const uint64_t c = now + rng.nextBelow(10);
+                ASSERT_EQ(table.nextRelease(c), oracle.nextRelease(c))
+                    << c;
+            } else {
+                table.reset();
+                oracle.reset();
+                last_released = -1;
+            }
+        }
+    }
+}
+
+TEST(MshrTable, ReleaseAtCycleZeroStaysClaimed)
+{
+    // A claimed entry released at cycle 0 reads like a never-claimed
+    // one to every busy check, yet release() must still accept it;
+    // after reset() the same release is an internal error.
+    MshrTable t;
+    t.configure({2, 2, 2});
+    uint64_t at = 0;
+    ASSERT_EQ(t.acquire(7, at), 0);
+    t.release(0, 0);
+    EXPECT_TRUE(t.ready(0));
+    EXPECT_EQ(t.nextRelease(0), 0u);
+    t.release(0, 5); // extends, no panic
+    EXPECT_EQ(t.nextRelease(0), 5u);
+    t.reset();
+    EXPECT_DEATH(t.release(0, 9), "unclaimed entry");
+    EXPECT_DEATH(t.release(2, 9), "out of range");
 }
 
 TEST(DramChannelTest, FrfcfsReordersForOpenRowsFcfsDoesNot)
