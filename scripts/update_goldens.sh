@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
-# Regenerate tests/golden/*.json from the current simulator.
+# Regenerate tests/golden/ from the current simulator: the per-kernel
+# counter goldens (*.json) and the quick-scale paper figures
+# (paper_quick_fig{5..9}.csv).
 #
 # Usage: scripts/update_goldens.sh [BUILD_DIR]
 #
 # Only run this when a timing-model change is *intentional*: the
 # golden files pin every deterministic simulator counter, and
-# golden_stats_test fails on any drift. Commit the regenerated files
-# together with the change that moved them, and say why.
+# golden_stats_test (JSON) and CI's paper-pass smoke (CSV, by cmp)
+# fail on any drift. Commit the regenerated files together with the
+# change that moved them, and say why.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,7 +17,7 @@ build_dir=${1:-build}
 if [ ! -d "$build_dir" ]; then
     cmake -B "$build_dir" -S .
 fi
-cmake --build "$build_dir" --target golden_stats_test -j
+cmake --build "$build_dir" --target golden_stats_test bench_paper -j
 
 # Snapshot the committed goldens so the summary below can show what
 # the regeneration actually moved, counter by counter.
@@ -23,6 +26,8 @@ trap 'rm -rf "$snapshot"' EXIT
 cp tests/golden/*.json "$snapshot"/ 2>/dev/null || true
 
 "$build_dir/golden_stats_test" --update-golden
+# Figs. 5-9 at quick scale; every cell is a deterministic counter.
+"$build_dir/bench_paper" --quick --csv tests/golden/paper_quick_ >/dev/null
 echo "goldens regenerated under tests/golden/ — review the diff:"
 git -c color.ui=always diff --stat -- tests/golden || true
 

@@ -61,8 +61,8 @@ class MshrTable
      * Earliest cycle after @p cycle at which a busy entry releases,
      * or 0 when no entry is busy. kPendingRelease when there are
      * busy entries whose release is not yet known (fill still being
-     * resolved) — callers must then re-poll next cycle rather than
-     * skip ahead.
+     * resolved); that implies a parked access, which pins its SM to
+     * real time, so no caller can skip past the release.
      */
     uint64_t nextRelease(uint64_t cycle) const;
 

@@ -69,13 +69,6 @@ struct MemAccessResult {
 class MemorySystem
 {
   public:
-    /**
-     * Sentinel returned by l1MshrNextRelease() when a release cycle
-     * is not yet known (same bit pattern as the SM's kNoEvent).
-     */
-    static constexpr uint64_t kReleaseUnknown =
-        MshrTable::kPendingRelease;
-
     explicit MemorySystem(const GpuConfig &cfg);
 
     /**
@@ -142,9 +135,10 @@ class MemorySystem
 
     /**
      * Earliest cycle after @p cycle at which a busy L1 MSHR entry of
-     * @p sm releases, for stall-event scheduling. kReleaseUnknown
+     * @p sm releases, for stall-event scheduling.
+     * MshrTable::kPendingRelease (all ones, like the SM's kNoEvent)
      * when some busy entry's release is not yet known (its request
-     * is still in flight) — the SM must then re-poll next cycle.
+     * is still in flight); its parked access pins the SM meanwhile.
      */
     uint64_t l1MshrNextRelease(int sm, uint64_t cycle) const;
 

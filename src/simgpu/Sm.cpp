@@ -277,15 +277,6 @@ Sm::finalizeParkedMem()
         break; // stores have no consumer-visible completion
     }
     markDirty(parkedWarp, 0); // completion can change the class now
-    // finishAccess released L1 MSHR entries: a cached MshrFull class
-    // may now clear earlier than its recorded unblock cycle.
-    for (int i = 0; i < cfg.maxWarpsPerSm; ++i) {
-        const size_t si = static_cast<size_t>(i);
-        if (slotActive[si] &&
-            slotReason[si] ==
-                static_cast<uint8_t>(StallReason::MshrFull))
-            markDirty(i, 0);
-    }
     parkedWarp = -1;
 }
 
@@ -407,15 +398,8 @@ Sm::reclassify(int slot, uint64_t cycle)
                               : StallReason::ExecutionDependency;
             unblock = dep_ready;
             expiry = dep_change;
-        } else if (isMemOp(in.op) &&
-                   !mem.l1MshrReady(smId, cycle)) {
-            reason = StallReason::MshrFull;
-            unblock = mem.l1MshrNextRelease(smId, cycle);
-            // With an unknown release (a fill still in flight) the
-            // class must be re-derived every cycle; otherwise the
-            // earliest release is exactly when it can change.
-            expiry = unblock == kNoEvent ? cycle + 1 : unblock;
         } else {
+            // Ready: MshrFull is the step's per-SM gate, not cached.
             reason = StallReason::NotSelected;
             unblock = 0;
             expiry = kNoEvent; // ready until issued or mutated
@@ -684,6 +668,14 @@ Sm::stepCycleFast(uint64_t cycle, uint64_t &next_event)
             reclassify(i, cycle);
     }
 
+    // The L1 MSHR gate: closed, every kReadyMem member is MshrFull and
+    // none can issue, so the lists hold through Stage C. Read once:
+    // only a memory issue (the LSU is then busy) or a release flips it.
+    uint64_t mem_ready = 0;
+    for (const auto &list : readyKind[kReadyMem])
+        mem_ready += list.size();
+    const bool mshr_ok = mem_ready == 0 || mem.l1MshrReady(smId, cycle);
+
     bool issued_any = false;
     bool any_port_block = false;
     uint64_t min_event = kNoEvent;
@@ -704,18 +696,7 @@ Sm::stepCycleFast(uint64_t cycle, uint64_t &next_event)
             const size_t i = static_cast<size_t>(slot);
             const OccBucket b =
                 bucketForLanes(static_cast<int>(slotLanes[i]));
-            const bool was_mem = slotIsMem[i] != 0;
             issueInstr(slot, cycle, s);
-            if (was_mem && !mem.l1MshrReady(smId, cycle + 1)) {
-                // The issue claimed L1 MSHR entries past the
-                // hit-under-miss limit: cached classifications of
-                // other memory-head warps are stale for next cycle.
-                for (int j = 0; j < cfg.maxWarpsPerSm; ++j) {
-                    const size_t sj = static_cast<size_t>(j);
-                    if (slotActive[sj] && slotIsMem[sj])
-                        markDirty(j, cycle + 1);
-                }
-            }
             // Count as Issued this cycle unless the warp just
             // finished (an issued EXIT leaves the stall attribution,
             // like the reference pass-3 skip of done warps);
@@ -748,10 +729,12 @@ Sm::stepCycleFast(uint64_t cycle, uint64_t &next_event)
             // and rejected before it are exactly the busy-port list
             // heads that are older (hazard merges are idempotent per
             // port, so heads stand in for all attempted members).
+            // A closed MSHR gate hides the memory heads.
             int pick = -1;
             const int sticky = greedyWarp[ss];
             if (sticky >= 0 &&
-                readyPos[static_cast<size_t>(sticky)] >= 0) {
+                readyPos[static_cast<size_t>(sticky)] >= 0 &&
+                (mshr_ok || !slotIsMem[static_cast<size_t>(sticky)])) {
                 const size_t i = static_cast<size_t>(sticky);
                 const bool na = slotNeedsAlu[i] != 0;
                 if ((na && alu_busy) ||
@@ -770,7 +753,7 @@ Sm::stepCycleFast(uint64_t cycle, uint64_t &next_event)
                     pick_age =
                         slotAge[static_cast<size_t>(pick)];
                 }
-                if (!lsu_busy && !rm.empty() &&
+                if (mshr_ok && !lsu_busy && !rm.empty() &&
                     slotAge[static_cast<size_t>(rm.front())] <
                         pick_age) {
                     pick = rm.front();
@@ -790,7 +773,7 @@ Sm::stepCycleFast(uint64_t cycle, uint64_t &next_event)
                     slotAge[static_cast<size_t>(ra.front())] <
                         pick_age)
                     blocked_attempt(true);
-                if (lsu_busy && !rm.empty() &&
+                if (mshr_ok && lsu_busy && !rm.empty() &&
                     slotAge[static_cast<size_t>(rm.front())] <
                         pick_age)
                     blocked_attempt(false);
@@ -813,6 +796,8 @@ Sm::stepCycleFast(uint64_t cycle, uint64_t &next_event)
                 if (slotReason[i] !=
                     static_cast<uint8_t>(StallReason::NotSelected))
                     continue;
+                if (!mshr_ok && slotIsMem[i] != 0)
+                    continue; // MshrFull: never attempted
                 const bool na = slotNeedsAlu[i] != 0;
                 if ((na && alu_busy) ||
                     (slotIsMem[i] != 0 && lsu_busy)) {
@@ -841,8 +826,20 @@ Sm::stepCycleFast(uint64_t cycle, uint64_t &next_event)
     // whenever any SM issued, and idleUntil requires no local issue —
     // and every such cycle opens a fast-forward window, so the
     // unblock sweep runs only then instead of maintaining an ordered
-    // event structure on every classification change.
+    // event structure on every classification change. A closed MSHR
+    // gate moves its warps to MshrFull and merges the table's next
+    // release; an unknown one implies a parked access, pinning the SM.
     lastStall = stallCount;
+    if (!mshr_ok) {
+        lastStall[static_cast<size_t>(StallReason::NotSelected)] -=
+            mem_ready;
+        lastStall[static_cast<size_t>(StallReason::MshrFull)] +=
+            mem_ready;
+        const uint64_t rel =
+            issued_any ? kNoEvent : mem.l1MshrNextRelease(smId, cycle);
+        if (rel > cycle && rel != kNoEvent)
+            min_event = std::min(min_event, rel);
+    }
     if (!issued_any) {
         for (int i = 0; i < nw; ++i) {
             const size_t si = static_cast<size_t>(i);

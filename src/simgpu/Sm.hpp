@@ -21,7 +21,9 @@
  * stall attribution comes from incrementally maintained per-class
  * counts — no per-warp virtual-register scoreboard walk per cycle
  * (the earliest stall-clear event is swept only on no-issue cycles,
- * each of which opens a fast-forward window). The pre-SoA path is
+ * each of which opens a fast-forward window). MshrFull (L1 MSHR table
+ * full) is one per-SM gate, not a cached class: each step reads it
+ * once and applies it at issue and in the census. The pre-SoA path is
  * kept verbatim behind GpuConfig::referenceIssue; both paths produce
  * bit-identical statistics (KernelStats::classifyEvals, a
  * diagnostic, is the single intended exception), enforced by
@@ -206,7 +208,8 @@ class Sm
     //
     // Invariant: for every slot with slotActive[i] != 0, the cached
     // (slotReason, slotUnblock) equal what the reference classify()
-    // would return this cycle, provided slotExpiry[i] > cycle. Any
+    // would return this cycle, provided slotExpiry[i] > cycle and
+    // setting MshrFull aside (a per-SM gate the step applies). Any
     // mutation of warp state that could change the classification
     // must lower slotExpiry (markDirty) so the next step's scan
     // re-derives it; reclassify() keeps the per-scheduler ready

@@ -368,11 +368,13 @@ TEST_P(FuzzSeeds, CycleSkipNeverOvershootsWarpWakeup)
 
 /**
  * Memory-hierarchy config fuzz: random-walk the MSHR / DRAM-bank /
- * queue knobs across their legal ranges and require (a) the SoA fast
- * issue path to stay bit-identical to the reference path, (b) reruns
- * and concurrent launch lanes to be bit-identical — back-pressure from
- * tiny MSHR tables and single-entry DRAM queues exercises the parked
- * multi-cycle retry protocol far harder than any preset does.
+ * queue knobs across their legal ranges and require, under both warp
+ * schedulers, (a) the SoA fast issue path to stay bit-identical to
+ * the reference path, (b) reruns and concurrent launch lanes to be
+ * bit-identical — back-pressure from tiny MSHR tables and
+ * single-entry DRAM queues exercises the parked multi-cycle retry
+ * protocol and the L1 MSHR issue gate far harder than any preset
+ * does.
  */
 TEST_P(FuzzSeeds, RandomMemHierarchyConfigsStayDeterministic)
 {
@@ -405,8 +407,6 @@ TEST_P(FuzzSeeds, RandomMemHierarchyConfigsStayDeterministic)
     cfg.dram.schedQueueSize =
         1 + static_cast<int>(rng.nextBelow(16));
     cfg.validate();
-    GpuConfig ref_cfg = cfg;
-    ref_cfg.referenceIssue = true;
 
     const KernelLaunch launch = randomLatencyLaunch(seed ^ 0xd3a);
     auto run = [&](const GpuConfig &c) {
@@ -416,7 +416,6 @@ TEST_P(FuzzSeeds, RandomMemHierarchyConfigsStayDeterministic)
         return sim.run(launch, opts);
     };
 
-    const KernelStats base = run(cfg);
     auto expect_identical = [&](const KernelStats &x,
                                 const KernelStats &y) {
         EXPECT_EQ(x.cycles, y.cycles);
@@ -444,23 +443,32 @@ TEST_P(FuzzSeeds, RandomMemHierarchyConfigsStayDeterministic)
         EXPECT_EQ(x.aluBusyCycles, y.aluBusyCycles);
         EXPECT_EQ(x.schedulerSlots, y.schedulerSlots);
     };
-    {
-        SCOPED_TRACE("rerun");
-        expect_identical(base, run(cfg));
-    }
-    {
-        // One simulator per lane, as SimEngine's launch lanes run.
-        SCOPED_TRACE("4 concurrent launch lanes");
-        std::vector<KernelStats> lanes(4);
-        ThreadPool(4).parallelFor(lanes.size(), [&](size_t i, int) {
-            lanes[i] = run(cfg);
-        });
-        for (const KernelStats &st : lanes)
-            expect_identical(base, st);
-    }
-    {
-        SCOPED_TRACE("reference issue path");
-        expect_identical(base, run(ref_cfg));
+    for (const SchedulerPolicy pol :
+         {SchedulerPolicy::Gto, SchedulerPolicy::Lrr}) {
+        SCOPED_TRACE(schedulerPolicyName(pol));
+        GpuConfig fast_cfg = cfg;
+        fast_cfg.scheduler = pol;
+        GpuConfig ref_cfg = fast_cfg;
+        ref_cfg.referenceIssue = true;
+        const KernelStats base = run(fast_cfg);
+        {
+            SCOPED_TRACE("rerun");
+            expect_identical(base, run(fast_cfg));
+        }
+        {
+            // One simulator per lane, as SimEngine's launch lanes run.
+            SCOPED_TRACE("4 concurrent launch lanes");
+            std::vector<KernelStats> lanes(4);
+            ThreadPool(4).parallelFor(lanes.size(), [&](size_t i, int) {
+                lanes[i] = run(fast_cfg);
+            });
+            for (const KernelStats &st : lanes)
+                expect_identical(base, st);
+        }
+        {
+            SCOPED_TRACE("reference issue path");
+            expect_identical(base, run(ref_cfg));
+        }
     }
 }
 

@@ -451,8 +451,18 @@ TEST(SimDeterminism, FastIssuePathMatchesReferenceOnAllSixKernels)
                                  /*compare_trace_peak=*/true,
                                  /*compare_classify_evals=*/false);
                 // The fast path must actually be lazier than
-                // re-deriving every resident warp every cycle.
+                // re-deriving every resident warp every cycle: about
+                // one re-derivation per state change, so a bounded
+                // multiple of the issued instructions.
                 EXPECT_LT(fast.classifyEvals, ref.classifyEvals)
+                    << launch.name;
+                EXPECT_LE(fast.classifyEvals, 2 * fast.warpInstrs)
+                    << launch.name;
+                // Every case must exercise the L1 MSHR gate, or a
+                // preset change could silently drop its coverage.
+                EXPECT_GT(ref.stallCycles[static_cast<size_t>(
+                              StallReason::MshrFull)],
+                          0u)
                     << launch.name;
             }
         }
