@@ -46,15 +46,6 @@ import sys
 
 DETERMINISTIC = ("cycles", "warp_instrs", "graph_levels",
                  "graph_lanes",
-                 # BENCH_serving.json: the serving scheduler's
-                 # cycle-domain request counters (its latency
-                 # percentiles are *_cycles, caught by suffix).
-                 "offered_requests", "completed_requests",
-                 "goodput_requests", "shed_overflow",
-                 "shed_deadline", "shed_oversize",
-                 "failed_requests", "retries", "slo_violations",
-                 "batches", "fallback_dispatches", "shrink_batches",
-                 "queue_depth_peak",
                  # BENCH_memplan.json: planner accounting is a pure
                  # function of the op-graph (byte metrics are caught
                  # by the _bytes suffix).

@@ -5,9 +5,9 @@ Validates that an emitted trace is loadable and internally
 consistent:
 
   * top-level shape: traceEvents list + otherData counter block;
-  * every event has the fields its phase requires (X span, i
-    instant, C counter, M metadata), integer pid/tid, and an
-    integer, non-negative ts in the simulated-cycle domain;
+  * every event has the fields its phase requires (X span, C
+    counter, M metadata), integer pid/tid, and an integer,
+    non-negative ts in the simulated-cycle domain;
   * per (pid, tid) track, timestamps are nondecreasing in file
     order (the exporter merges tracks in index order with a
     per-track stable sort — out-of-order events mean a broken
@@ -15,9 +15,9 @@ consistent:
   * spans on one track nest or are disjoint (a span that partially
     overlaps its predecessor is malformed);
   * event-count identity: the per-phase counts embedded by the
-    exporter in otherData (obs_spans/obs_instants/obs_counters/
-    obs_events) equal what is actually in traceEvents, so a
-    truncated or hand-edited file fails;
+    exporter in otherData (obs_spans/obs_counters/obs_events)
+    equal what is actually in traceEvents, so a truncated or
+    hand-edited file fails;
   * trace_dropped_events is present and — unless --allow-drops —
     zero, so ring-buffer overflow can never pass silently.
 
@@ -28,7 +28,7 @@ import argparse
 import json
 import sys
 
-VALID_PHASES = {"X", "i", "C", "M"}
+VALID_PHASES = {"X", "C", "M"}
 
 
 class Failure(Exception):
@@ -73,9 +73,6 @@ def validate_event(ev, idx, problems):
         dur = ev.get("dur")
         ok &= require(isinstance(dur, int) and dur >= 0, problems,
                       f"event #{idx}: span without integer dur")
-    if ph == "i":
-        require(ev.get("s") == "t", problems,
-                f"event #{idx}: instant without scope s=t")
     if ph == "C":
         require(isinstance(ev.get("args"), dict), problems,
                 f"event #{idx}: counter without args series")
@@ -122,9 +119,8 @@ def validate_counts(counts, other, problems):
     """otherData identity: embedded counts match the event stream."""
     expected = {
         "obs_spans": counts["X"],
-        "obs_instants": counts["i"],
         "obs_counters": counts["C"],
-        "obs_events": counts["X"] + counts["i"] + counts["C"],
+        "obs_events": counts["X"] + counts["C"],
     }
     for key, want in expected.items():
         got = other.get(key)
@@ -161,7 +157,7 @@ def validate(path, allow_drops):
         problems.append("otherData missing or not an object")
         other = {}
 
-    counts = {"X": 0, "i": 0, "C": 0, "M": 0}
+    counts = {"X": 0, "C": 0, "M": 0}
     for idx, ev in enumerate(events):
         ph = validate_event(ev, idx, problems)
         if ph is not None:
@@ -182,9 +178,8 @@ def validate(path, allow_drops):
                   file=sys.stderr)
         return 1
 
-    print(f"{path}: OK ({counts['X']} spans, {counts['i']} "
-          f"instants, {counts['C']} counter samples, "
-          f"{counts['M']} metadata records)")
+    print(f"{path}: OK ({counts['X']} spans, {counts['C']} counter "
+          f"samples, {counts['M']} metadata records)")
     return 0
 
 

@@ -396,7 +396,7 @@ keySchema()
                  if (!tryParseTraceComponents(v, mask))
                      fatal("%s: key 'trace.components' expects a "
                            "comma list of all/none/engine/sm/"
-                           "serving/memplan, got '%s'",
+                           "memplan, got '%s'",
                            origin.c_str(), v.c_str());
                  c.traceComponents = traceComponentNames(mask);
              }});

@@ -1,7 +1,6 @@
 #include "hwdb/KeyValueFile.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "util/Logging.hpp"
@@ -64,17 +63,6 @@ parseKeyValueText(const std::string &text, const std::string &origin)
         lines.push_back(KeyValueLine{key, value, lineno});
     }
     return lines;
-}
-
-std::vector<KeyValueLine>
-parseKeyValueFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open config file '%s'", path.c_str());
-    std::ostringstream text;
-    text << in.rdbuf();
-    return parseKeyValueText(text.str(), path);
 }
 
 std::string

@@ -1,10 +1,9 @@
 /**
  * @file
- * The line-level grammar shared by every hwdb-style config family
- * (GPU configs, fault plans, serving policies): gpgpusim-flavoured
+ * The line-level grammar of hwdb GPU config files: gpgpusim-flavoured
  * "key value" / "key=value" lines with '#'/';' comments and a
- * tolerated leading '-'. Each family keeps its own key schema and
- * semantics; this layer only turns text into (key, value, lineno)
+ * tolerated leading '-'. The key schema and its semantics live in
+ * HwConfigFile; this layer only turns text into (key, value, lineno)
  * triples with uniform error reporting.
  */
 
@@ -30,11 +29,6 @@ struct KeyValueLine {
  */
 std::vector<KeyValueLine>
 parseKeyValueText(const std::string &text, const std::string &origin);
-
-/** parseKeyValueText over a file's contents; fatal() on unreadable
- *  path. */
-std::vector<KeyValueLine>
-parseKeyValueFile(const std::string &path);
 
 /** Shortest decimal string that round-trips @p v exactly — the
  *  canonical rendering for double-valued config keys. */

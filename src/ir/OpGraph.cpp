@@ -194,9 +194,10 @@ OpGraph::merge(const std::vector<const OpGraph *> &graphs,
         panicIf(graphs[g] == nullptr, "OpGraph::merge: null graph");
         panicIf(!graphs[g]->partList.empty(),
                 "OpGraph::merge: inputs must be un-merged graphs");
-        merged.beginPart(labels.empty()
-                             ? "g" + std::to_string(g)
-                             : labels[g]);
+        std::string label = labels.empty() ? "g" : labels[g];
+        if (labels.empty())
+            label += std::to_string(g);
+        merged.beginPart(label);
         // Re-adding through addNode re-derives identical
         // dependencies (Kernel::io() is stable) and re-interns
         // buffers, sharing read-only inputs across parts.

@@ -182,9 +182,9 @@ class OpGraph
 
     /**
      * The per-node finish times of the makespan() list schedule (the
-     * makespan is their maximum). Serving-layer batch models replay
-     * this schedule over profiled per-class costs; exposing the
-     * ground truth lets tests pin those replays to the IR exactly.
+     * makespan is their maximum). The engine-trace lane replay
+     * (obs/GraphTrace's laneSchedule) mirrors this schedule; exposing
+     * the ground truth lets tests pin that replay to the IR exactly.
      */
     std::vector<uint64_t>
     finishTimes(const std::vector<uint64_t> &costs, int lanes) const;

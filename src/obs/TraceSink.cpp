@@ -16,7 +16,6 @@ const struct {
 } kComponentNames[] = {
     {"engine", TraceEngine},
     {"sm", TraceSm},
-    {"serving", TraceServing},
     {"memplan", TraceMemPlan},
 };
 
@@ -80,7 +79,7 @@ parseTraceComponents(const std::string &csv)
     unsigned mask = 0;
     if (!tryParseTraceComponents(csv, mask))
         fatal("unknown trace component in '%s' (expected a comma "
-              "list of: all, none, engine, sm, serving, memplan)",
+              "list of: all, none, engine, sm, memplan)",
               csv.c_str());
     return mask;
 }
@@ -146,20 +145,6 @@ TraceSink::span(int track, uint64_t ts, uint64_t dur,
 }
 
 void
-TraceSink::instant(int track, uint64_t ts, std::string name,
-                   std::string args)
-{
-    if (!opts.enabled)
-        return;
-    TraceEvent ev;
-    ev.phase = TraceEvent::Phase::Instant;
-    ev.ts = ts;
-    ev.name = std::move(name);
-    ev.args = std::move(args);
-    push(track, std::move(ev));
-}
-
-void
 TraceSink::counter(int track, uint64_t ts, std::string name,
                    std::string series)
 {
@@ -202,16 +187,6 @@ TraceSink::spanCount() const
 }
 
 uint64_t
-TraceSink::instantCount() const
-{
-    uint64_t n = 0;
-    for (const auto &t : tracks)
-        for (const TraceEvent &ev : t->events)
-            n += ev.phase == TraceEvent::Phase::Instant ? 1 : 0;
-    return n;
-}
-
-uint64_t
 TraceSink::counterCount() const
 {
     uint64_t n = 0;
@@ -245,7 +220,6 @@ appendEvent(std::string &out, bool &first, const TraceEvent &ev,
     out += "\",\"ph\":\"";
     switch (ev.phase) {
     case TraceEvent::Phase::Span: out += 'X'; break;
-    case TraceEvent::Phase::Instant: out += 'i'; break;
     case TraceEvent::Phase::Counter: out += 'C'; break;
     }
     out += "\",\"pid\":" + std::to_string(pid);
@@ -253,8 +227,6 @@ appendEvent(std::string &out, bool &first, const TraceEvent &ev,
     out += ",\"ts\":" + std::to_string(ev.ts);
     if (ev.phase == TraceEvent::Phase::Span)
         out += ",\"dur\":" + std::to_string(ev.dur);
-    if (ev.phase == TraceEvent::Phase::Instant)
-        out += ",\"s\":\"t\"";
     if (!ev.args.empty())
         out += ",\"args\":{" + ev.args + "}";
     else if (ev.phase == TraceEvent::Phase::Counter)
@@ -292,14 +264,12 @@ TraceSink::mergedChromeJson(
     bool first = true;
     int nextPid = 1;
     int nextTid = 1;
-    uint64_t events = 0, spans = 0, instants = 0, counters = 0,
-             dropped = 0;
+    uint64_t events = 0, spans = 0, counters = 0, dropped = 0;
     for (const TraceSink *sink : sinks) {
         if (!sink)
             continue;
         events += sink->eventCount();
         spans += sink->spanCount();
-        instants += sink->instantCount();
         counters += sink->counterCount();
         dropped += sink->droppedEvents();
         // pid per unique process name, first-seen track order.
@@ -349,7 +319,6 @@ TraceSink::mergedChromeJson(
     out += "\"clock\":\"simulated cycles (1 trace us = 1 cycle)\"";
     out += ",\"obs_events\":" + std::to_string(events);
     out += ",\"obs_spans\":" + std::to_string(spans);
-    out += ",\"obs_instants\":" + std::to_string(instants);
     out += ",\"obs_counters\":" + std::to_string(counters);
     out += ",\"trace_dropped_events\":" + std::to_string(dropped);
     out += "}}\n";

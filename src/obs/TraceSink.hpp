@@ -2,8 +2,7 @@
  * @file
  * Deterministic sim-time trace recording.
  *
- * A TraceSink records typed spans, instant events and counter samples
- * whose timestamps live entirely in the *simulated cycle* domain —
+ * A TraceSink records typed spans and counter samples whose timestamps live entirely in the *simulated cycle* domain —
  * never wall clock — so a trace is a pure function of the run's
  * deterministic state and is bit-identical across reruns,
  * `--sim-threads` and `--sweep-threads` counts, and machines.
@@ -44,10 +43,8 @@ namespace gsuite {
 enum TraceComponent : unsigned {
     TraceEngine = 1u << 0,  ///< op-graph node spans per execution lane
     TraceSm = 1u << 1,      ///< sampled per-SM warp-scheduler state
-    TraceServing = 1u << 2, ///< request lifecycle + batch dispatches
-    TraceMemPlan = 1u << 3, ///< memory high-water + spill/reload spans
-    TraceAllComponents = TraceEngine | TraceSm | TraceServing |
-                         TraceMemPlan,
+    TraceMemPlan = 1u << 2, ///< memory high-water + spill/reload spans
+    TraceAllComponents = TraceEngine | TraceSm | TraceMemPlan,
 };
 
 /**
@@ -75,8 +72,8 @@ struct TraceSinkOptions {
 /** One recorded event. All payloads are pre-rendered JSON so export
  *  is pure string concatenation (no float formatting surprises). */
 struct TraceEvent {
-    enum class Phase : uint8_t { Span, Instant, Counter };
-    Phase phase = Phase::Instant;
+    enum class Phase : uint8_t { Span, Counter };
+    Phase phase = Phase::Span;
     uint64_t ts = 0;  ///< simulated cycle (exported as integer us)
     uint64_t dur = 0; ///< span length in cycles (Span only)
     std::string name;
@@ -107,8 +104,6 @@ class TraceSink {
 
     void span(int track, uint64_t ts, uint64_t dur, std::string name,
               std::string args = std::string());
-    void instant(int track, uint64_t ts, std::string name,
-                 std::string args = std::string());
     /** Counter sample; Chrome groups series by (pid, name), so
      *  per-lane counters must carry the lane in the name. */
     void counter(int track, uint64_t ts, std::string name,
@@ -117,7 +112,6 @@ class TraceSink {
     uint64_t droppedEvents() const;
     uint64_t eventCount() const; ///< accepted (recorded) events
     uint64_t spanCount() const;
-    uint64_t instantCount() const;
     uint64_t counterCount() const;
 
     /** Bytes of heap backing event storage; 0 for a disabled sink. */

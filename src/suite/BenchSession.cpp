@@ -372,8 +372,6 @@ BenchSession::runPoint(const UserParams &params, const Graph &graph)
             static_cast<double>(sink->eventCount());
         outcome.metrics["obs_spans"] =
             static_cast<double>(sink->spanCount());
-        outcome.metrics["obs_instants"] =
-            static_cast<double>(sink->instantCount());
         outcome.metrics["obs_counters"] =
             static_cast<double>(sink->counterCount());
         outcome.metrics["trace_dropped_events"] =

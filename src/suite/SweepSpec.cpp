@@ -247,13 +247,14 @@ SweepSpec::expand() const
                                 label += e == EngineKind::Sim
                                              ? "@sim"
                                              : "@functional";
-                            if (samples.size() > 1)
-                                label += "~" +
-                                         (sm.empty()
-                                              ? std::string("off")
-                                              : sm);
-                            if (batches.size() > 1)
-                                label += "x" + std::to_string(b);
+                            if (samples.size() > 1) {
+                                label += "~";
+                                label += sm.empty() ? "off" : sm;
+                            }
+                            if (batches.size() > 1) {
+                                label += "x";
+                                label += std::to_string(b);
+                            }
                             pt.label = std::move(label);
                             pt.params = std::move(p);
                             points.push_back(std::move(pt));

@@ -93,7 +93,10 @@ logPrefix()
 ScopedLogPrefix::ScopedLogPrefix(std::string label)
     : saved(prefixRef())
 {
-    prefixRef() = "[" + std::move(label) + "] ";
+    std::string prefix = "[";
+    prefix += label;
+    prefix += "] ";
+    prefixRef() = std::move(prefix);
 }
 
 ScopedLogPrefix::~ScopedLogPrefix()

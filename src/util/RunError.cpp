@@ -1,7 +1,6 @@
 #include "util/RunError.hpp"
 
 #include "util/Logging.hpp"
-#include "util/StringUtils.hpp"
 
 namespace gsuite {
 
@@ -12,32 +11,10 @@ runErrorName(RunError e)
       case RunError::None: return "none";
       case RunError::Config: return "config";
       case RunError::Oom: return "oom";
-      case RunError::FaultInjected: return "fault-injected";
       case RunError::Timeout: return "timeout";
       case RunError::Unknown: return "unknown";
     }
     panic("unknown RunError");
-}
-
-RunError
-runErrorFromName(const std::string &name)
-{
-    const std::string n = toLower(trim(name));
-    if (n == "none")
-        return RunError::None;
-    if (n == "config")
-        return RunError::Config;
-    if (n == "oom")
-        return RunError::Oom;
-    if (n == "fault-injected" || n == "fault_injected")
-        return RunError::FaultInjected;
-    if (n == "timeout")
-        return RunError::Timeout;
-    if (n == "unknown")
-        return RunError::Unknown;
-    fatal("unknown run-error kind '%s' (known: none, config, oom, "
-          "fault-injected, timeout, unknown)",
-          name.c_str());
 }
 
 } // namespace gsuite

@@ -1,10 +1,9 @@
 /**
  * @file
- * Typed run-failure taxonomy shared by the engine, the suite and the
- * serving layer: a failed benchmark point or serving request carries a
- * machine-readable kind (config / oom / fault-injected / timeout), not
- * just a message string, so sweeps, serving reports and CI emitters
- * all speak one error vocabulary.
+ * Typed run-failure taxonomy shared by the engine and the suite: a
+ * failed benchmark point carries a machine-readable kind (config /
+ * oom / timeout), not just a message string, so sweeps and CI
+ * emitters all speak one error vocabulary.
  *
  * Throwers raise RunException; BenchSession catches it (plus
  * std::bad_alloc, classified as Oom) and records the kind in the
@@ -20,21 +19,17 @@
 
 namespace gsuite {
 
-/** Why a run (sweep point, launch, serving request) failed. */
+/** Why a run (sweep point, launch) failed. */
 enum class RunError {
-    None,         ///< did not fail
-    Config,       ///< invalid or inconsistent configuration
-    Oom,          ///< memory exhaustion (host or modeled device)
-    FaultInjected, ///< a deterministic fault-injection event fired
-    Timeout,      ///< watchdog: cycle ceiling or wall-clock deadline
-    Unknown,      ///< failed without a taxonomy (legacy throwers)
+    None,    ///< did not fail
+    Config,  ///< invalid or inconsistent configuration
+    Oom,     ///< memory exhaustion (host or modeled device)
+    Timeout, ///< watchdog: cycle ceiling or wall-clock deadline
+    Unknown, ///< failed without a taxonomy (legacy throwers)
 };
 
-/** Stable lowercase name ("config", "fault-injected", ...). */
+/** Stable lowercase name ("config", "timeout", ...). */
 const char *runErrorName(RunError e);
-
-/** Inverse of runErrorName; fatal() on unknown names. */
-RunError runErrorFromName(const std::string &name);
 
 /** Exception carrying a RunError kind alongside the message. */
 class RunException : public std::runtime_error

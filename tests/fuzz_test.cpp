@@ -17,11 +17,8 @@
 #include "graph/Generators.hpp"
 #include "kernels/Elementwise.hpp"
 #include "memplan/MemPlan.hpp"
-#include "hwdb/FaultPlan.hpp"
 #include "models/GnnModel.hpp"
 #include "models/Reference.hpp"
-#include "serving/RequestStream.hpp"
-#include "serving/ServingScheduler.hpp"
 #include "simgpu/GpuSimulator.hpp"
 #include "sparse/Convert.hpp"
 #include "sparse/SparseOps.hpp"
@@ -548,97 +545,6 @@ TEST_P(FuzzSeeds, SampledSimBoundsContainTheFullRun)
     for (size_t i = 0; i < st.estimates.size(); ++i)
         EXPECT_EQ(st.estimates[i].est, again.estimates[i].est)
             << st.estimates[i].name;
-}
-
-TEST_P(FuzzSeeds, RandomFaultPlansNeverDeadlockTheScheduler)
-{
-    // Random plans, policies and request mixes must always drain:
-    // runServing terminates (bounded batches, monotone time) and
-    // accounts for every request exactly once. A lost or
-    // double-counted request is how a serving loop deadlocks or
-    // spins, so the identity is the liveness oracle.
-    Rng rng(GetParam() * 977 + 13);
-
-    std::vector<ClassCost> classes;
-    const size_t numClasses = 1 + rng.nextBelow(3);
-    for (size_t c = 0; c < numClasses; ++c) {
-        ClassCost cls;
-        cls.name = "c" + std::to_string(c);
-        const size_t nodes = 1 + rng.nextBelow(6);
-        for (size_t n = 0; n < nodes; ++n) {
-            cls.nodeCycles.push_back(rng.nextBelow(5'000));
-            std::vector<int> preds;
-            if (n > 0 && rng.nextBool(0.6))
-                preds.push_back(
-                    static_cast<int>(rng.nextBelow(n)));
-            cls.preds.push_back(preds);
-            cls.serialCycles += cls.nodeCycles.back();
-        }
-        cls.memBytes = rng.nextBelow(256);
-        if (c > 0 && rng.nextBool(0.5))
-            cls.fallbackClass = static_cast<int>(rng.nextBelow(c));
-        classes.push_back(cls);
-    }
-
-    FaultPlan plan;
-    plan.name = "fuzz";
-    plan.seed = GetParam();
-    plan.kernelFailPerMcycle = rng.nextDouble() * 50.0;
-    plan.stallPerMcycle = rng.nextDouble() * 20.0;
-    plan.memPressurePerMcycle = rng.nextDouble() * 10.0;
-    plan.stallCycles = 1 + rng.nextBelow(30'000);
-    plan.memPressureCycles = 1 + rng.nextBelow(100'000);
-    plan.memPressureFraction = rng.nextDouble();
-    plan.fixedEvents.push_back(FaultEvent{
-        FaultKind::KernelFailure, rng.nextBelow(500'000), 0, 0.0});
-    plan.validate();
-
-    ServingPolicy policy;
-    policy.lanes = 1 + static_cast<int>(rng.nextBelow(6));
-    policy.memBudgetBytes =
-        rng.nextBool(0.5) ? 0 : 64 + rng.nextBelow(512);
-    policy.queueCapacity = 1 + static_cast<int>(rng.nextBelow(32));
-    policy.maxBatch = 1 + static_cast<int>(rng.nextBelow(8));
-    policy.maxRetries = static_cast<int>(rng.nextBelow(4));
-    policy.retryBackoffCycles = 1 + rng.nextBelow(50'000);
-    policy.retryBudget = static_cast<int>(rng.nextBelow(64));
-    policy.degrade.shrinkBatchUnderPressure = rng.nextBool(0.5);
-    policy.degrade.shedLowestPriority = rng.nextBool(0.5);
-    policy.degrade.fallbackQueueDepth =
-        rng.nextBool(0.5)
-            ? 0
-            : 1 + static_cast<int>(rng.nextBelow(16));
-    policy.validate();
-
-    std::vector<RequestProfile> profiles;
-    const size_t numProfiles = 1 + rng.nextBelow(3);
-    for (size_t p = 0; p < numProfiles; ++p) {
-        RequestProfile prof;
-        prof.classIndex =
-            static_cast<int>(rng.nextBelow(classes.size()));
-        prof.weight = 0.25 + rng.nextDouble();
-        prof.priority = static_cast<int>(rng.nextBelow(4));
-        prof.sloCycles =
-            rng.nextBool(0.5) ? 0 : 1 + rng.nextBelow(200'000);
-        profiles.push_back(prof);
-    }
-    ArrivalSpec spec;
-    spec.ratePerMcycle = 20.0 + rng.nextDouble() * 500.0;
-    const uint64_t horizon = 500'000;
-    const std::vector<Request> requests = generateArrivals(
-        spec, profiles, horizon, GetParam() * 7 + 1);
-
-    const ServingStats stats =
-        runServing(policy, classes, requests, plan, horizon);
-    EXPECT_EQ(stats.offered, requests.size());
-    EXPECT_EQ(stats.completed + stats.shedOverflow +
-                  stats.shedDeadline + stats.shedOversize +
-                  stats.failed,
-              stats.offered)
-        << "a request was lost or double-counted";
-    EXPECT_EQ(stats, runServing(policy, classes, requests, plan,
-                                horizon))
-        << "rerun diverged";
 }
 
 namespace {

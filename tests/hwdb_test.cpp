@@ -701,9 +701,11 @@ TEST(BenchSession, GraphCacheEvictsBeyondCapacity)
     BenchSession::Options opts;
     opts.graphCacheEntries = 1;
     std::vector<SweepVariant> vars;
-    for (uint64_t s = 1; s <= 3; ++s)
-        vars.push_back({"s" + std::to_string(s),
-                        [s](UserParams &p) { p.seed = s; }});
+    for (uint64_t s = 1; s <= 3; ++s) {
+        std::string label = "s";
+        label += std::to_string(s);
+        vars.push_back({label, [s](UserParams &p) { p.seed = s; }});
+    }
     const BenchSession session(opts);
     session.run(SweepSpec{}.base(base).variants(vars));
     EXPECT_EQ(session.cacheStats().misses, 3u);

@@ -6,8 +6,8 @@
  * naive and plan-backed placement on every pipeline (including the
  * GAT level-parallelism pin), budget wave-packing of merged batches,
  * spill/reload slicing under a single-pipeline budget, and the
- * planned serving-admission model (profileClass == merged-plan
- * arithmetic).
+ * merged-plan arithmetic (shared arena + per-replica part peaks
+ * predicts a larger batch's peak exactly).
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 #include "kernels/Elementwise.hpp"
 #include "memplan/MemPlan.hpp"
 #include "models/GnnModel.hpp"
-#include "serving/ServingScheduler.hpp"
 #include "tensor/DenseMatrix.hpp"
 #include "util/Random.hpp"
 
@@ -332,16 +331,17 @@ TEST(MemPlanEquivalence, PlanBackedSimStatsBitIdenticalOnAllPipelines)
 
 // Merged batches: shared read-only inputs land in a shared arena
 // placed once, each replica gets a private arena, and the planned
-// peak decomposes exactly — which is the serving scheduler's
-// admission arithmetic. Under a budget the parts pack into waves.
+// peak decomposes exactly — so a two-replica plan predicts the peak
+// of a batch of any size. Under a budget the parts pack into waves.
 TEST(MemPlanMerge, MergedPeakIsSharedArenaPlusPartPeaks)
 {
     const Graph g = smallGraph();
     const ModelConfig cfg = cfgFor(GnnModelKind::Gcn, CompModel::Spmm);
-    GnnPipeline p0(g, cfg), p1(g, cfg);
-    FunctionalEngine e0, e1;
+    GnnPipeline p0(g, cfg), p1(g, cfg), p2(g, cfg);
+    FunctionalEngine e0, e1, e2;
     p0.run(e0);
     p1.run(e1);
+    p2.run(e2);
 
     const OpGraph merged =
         OpGraph::merge({&p0.opGraph(), &p1.opGraph()});
@@ -359,6 +359,17 @@ TEST(MemPlanMerge, MergedPeakIsSharedArenaPlusPartPeaks)
     EXPECT_LE(plan.peakBytes(), plan.naiveBytes());
     EXPECT_EQ(plan.numWaves(), 1u);
 
+    // The shared arena is placed once and each further replica adds
+    // one part peak: the two-replica plan predicts three replicas.
+    const OpGraph merged3 = OpGraph::merge(
+        {&p0.opGraph(), &p1.opGraph(), &p2.opGraph()});
+    const MemPlan plan3 = MemPlan::build(merged3);
+    plan3.verify(merged3);
+    ASSERT_TRUE(plan3.fullSpanCoverage());
+    EXPECT_EQ(plan3.sharedArenaBytes(), plan.sharedArenaBytes());
+    EXPECT_EQ(plan3.peakBytes(),
+              plan.sharedArenaBytes() + 3 * plan.partPeakBytes(0));
+
     // A budget below the two-replica peak but big enough for one
     // replica forces two sequential waves, and the budgeted plan
     // fits by construction.
@@ -374,34 +385,6 @@ TEST(MemPlanMerge, MergedPeakIsSharedArenaPlusPartPeaks)
     EXPECT_EQ(sliced.numWaves(), 2u);
     EXPECT_EQ(sliced.waveOf(0), 0);
     EXPECT_EQ(sliced.waveOf(1), 1);
-}
-
-// profileClass's planned admission fields must equal the merged-plan
-// arithmetic: shared bytes once, per-replica bytes per admitted
-// request — exact for a homogeneous batch of any size.
-TEST(MemPlanServing, ProfileClassMatchesMergedPlanArithmetic)
-{
-    const Graph g = smallGraph();
-    const ModelConfig cfg = cfgFor(GnnModelKind::Gcn, CompModel::Spmm);
-    const SimEngine::Options sopts = tinySimOpts();
-    const ClassCost cc =
-        profileClass("gcn", g, cfg, sopts.gpu, sopts.sim);
-    ASSERT_GT(cc.plannedPerReplicaBytes, 0u);
-    ASSERT_GT(cc.plannedSharedBytes, 0u);
-
-    GnnPipeline p0(g, cfg), p1(g, cfg), p2(g, cfg);
-    FunctionalEngine e0, e1, e2;
-    p0.run(e0);
-    p1.run(e1);
-    p2.run(e2);
-    const OpGraph merged3 = OpGraph::merge(
-        {&p0.opGraph(), &p1.opGraph(), &p2.opGraph()});
-    const MemPlan plan3 = MemPlan::build(merged3);
-    plan3.verify(merged3);
-    ASSERT_TRUE(plan3.fullSpanCoverage());
-    EXPECT_EQ(plan3.sharedArenaBytes(), cc.plannedSharedBytes);
-    EXPECT_EQ(plan3.peakBytes(),
-              cc.plannedSharedBytes + 3 * cc.plannedPerReplicaBytes);
 }
 
 // Budget slicing of a single pipeline: a large buffer idles across a

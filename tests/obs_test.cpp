@@ -22,7 +22,6 @@
 #include "models/GnnModel.hpp"
 #include "obs/GraphTrace.hpp"
 #include "obs/TraceSink.hpp"
-#include "serving/ServingScheduler.hpp"
 #include "suite/BenchSession.hpp"
 #include "suite/ResultStore.hpp"
 #include "suite/SweepSpec.hpp"
@@ -59,29 +58,6 @@ slurp(const std::string &path)
     return out.str();
 }
 
-/** A hand-built single-kernel serving class costing @p cycles. */
-ClassCost
-trivialClass(uint64_t cycles)
-{
-    ClassCost c;
-    c.name = "trivial";
-    c.nodeCycles = {cycles};
-    c.preds = {{}};
-    c.serialCycles = cycles;
-    return c;
-}
-
-Request
-requestAt(uint64_t id, uint64_t cycle,
-          uint64_t deadline = ~uint64_t{0})
-{
-    Request r;
-    r.id = id;
-    r.arrivalCycle = cycle;
-    r.deadlineCycle = deadline;
-    return r;
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -96,7 +72,6 @@ TEST(TraceSink, DisabledSinkAllocatesNothing)
     for (int i = 0; i < 1000; ++i) {
         const uint64_t ts = static_cast<uint64_t>(i);
         sink.span(track, ts, 1, "k");
-        sink.instant(track, ts, "e");
         sink.counter(track, ts, "c", "\"v\":1");
     }
     EXPECT_EQ(sink.heapFootprintBytes(), 0u);
@@ -113,17 +88,16 @@ TEST(TraceSink, ComponentSelection)
     EXPECT_TRUE(sink.enabled(TraceEngine));
     EXPECT_TRUE(sink.enabled(TraceMemPlan));
     EXPECT_FALSE(sink.enabled(TraceSm));
-    EXPECT_FALSE(sink.enabled(TraceServing));
 }
 
 TEST(TraceSink, ComponentNamesRoundTrip)
 {
     EXPECT_EQ(traceComponentNames(TraceAllComponents), "all");
     EXPECT_EQ(traceComponentNames(0), "none");
-    EXPECT_EQ(traceComponentNames(TraceEngine | TraceServing),
-              "engine,serving");
-    EXPECT_EQ(parseTraceComponents("engine,serving"),
-              unsigned(TraceEngine | TraceServing));
+    EXPECT_EQ(traceComponentNames(TraceEngine | TraceMemPlan),
+              "engine,memplan");
+    EXPECT_EQ(parseTraceComponents("engine,memplan"),
+              unsigned(TraceEngine | TraceMemPlan));
     EXPECT_EQ(parseTraceComponents("all"),
               unsigned(TraceAllComponents));
     EXPECT_EQ(parseTraceComponents("none"), 0u);
@@ -137,9 +111,12 @@ TEST(TraceSink, OverflowDropsNewestAndCounts)
     TraceSinkOptions opts = enabledOptions();
     opts.trackCapacity = 2;
     TraceSink sink(opts);
-    const int track = sink.addTrack("serving", "scheduler");
-    for (uint64_t i = 0; i < 5; ++i)
-        sink.instant(track, i, "e" + std::to_string(i));
+    const int track = sink.addTrack("engine", "lane 0");
+    for (uint64_t i = 0; i < 5; ++i) {
+        std::string name = "e";
+        name += std::to_string(i);
+        sink.span(track, i, 1, name);
+    }
     EXPECT_EQ(sink.eventCount(), 2u);
     EXPECT_EQ(sink.droppedEvents(), 3u);
     // The oldest events survive; the newest are the ones dropped.
@@ -155,11 +132,10 @@ TEST(TraceSink, OverflowDropsNewestAndCounts)
 TEST(TraceSink, MergedExportSortsByTimestampPerTrack)
 {
     TraceSink sink(enabledOptions());
-    const int track = sink.addTrack("serving", "scheduler");
-    // Append out of ts order (the serving loop records completion
-    // instants after admissions that happen later in sim time).
-    sink.instant(track, 50, "late");
-    sink.instant(track, 10, "early");
+    const int track = sink.addTrack("engine", "lane 0");
+    // Append out of ts order; the export must still be sorted.
+    sink.span(track, 50, 1, "late");
+    sink.span(track, 10, 1, "early");
     const std::string json = sink.toChromeJson();
     EXPECT_LT(json.find("\"early\""), json.find("\"late\""));
 }
@@ -322,34 +298,4 @@ TEST(ObsDeterminism, SweepTraceFilesIdenticalAcrossSweepThreads)
         EXPECT_FALSE(traces[0][i].empty());
         EXPECT_EQ(traces[0][i], traces[1][i]) << "point " << i;
     }
-}
-
-TEST(ObsDeterminism, ServingTraceIdenticalAcrossReruns)
-{
-    const std::vector<ClassCost> classes = {trivialClass(1000)};
-    std::vector<Request> requests;
-    for (uint64_t i = 0; i < 40; ++i)
-        requests.push_back(
-            requestAt(i, i * 700, i * 700 + 50'000));
-    ServingPolicy policy;
-    policy.queueCapacity = 4; // small queue: shed events too
-    policy.maxBatch = 2;
-
-    std::string jsons[2];
-    ServingStats stats[2];
-    for (int i = 0; i < 2; ++i) {
-        TraceSink sink(enabledOptions());
-        stats[i] = runServing(policy, classes, requests,
-                              FaultPlan{}, 100'000, &sink);
-        EXPECT_GT(sink.instantCount(), 0u); // lifecycle events
-        EXPECT_GT(sink.spanCount(), 0u);    // batch dispatch spans
-        jsons[i] = sink.toChromeJson();
-    }
-    EXPECT_EQ(stats[0], stats[1]);
-    EXPECT_EQ(jsons[0], jsons[1]);
-
-    // And tracing must not perturb the stats themselves.
-    const ServingStats untraced = runServing(
-        policy, classes, requests, FaultPlan{}, 100'000, nullptr);
-    EXPECT_EQ(untraced, stats[0]);
 }

@@ -3,7 +3,8 @@
  * Tests for the sweep API: SweepSpec grid expansion (order, labels,
  * determinism, skip predicates, variants), BenchSession execution
  * (thread-count invariance of ResultStore contents, failure
- * isolation, progress callbacks, budget composition) and ResultStore
+ * isolation, progress callbacks, budget composition, the cycle-ceiling
+ * watchdog's RunError::Timeout surfacing in CSV/JSON) and ResultStore
  * lookups/emitters.
  */
 
@@ -23,9 +24,9 @@ using namespace gsuite;
 
 namespace {
 
-/** Small, fast sim sweep: 2 datasets x 2 models on tiny scales. */
-SweepSpec
-tinySimSpec()
+/** One small, fast sim point: GCN-MP on cora at tiny scale. */
+UserParams
+tinySimBase()
 {
     UserParams base;
     base.engine = EngineKind::Sim;
@@ -34,8 +35,15 @@ tinySimSpec()
     base.nodeDivisor = 8;
     base.edgeDivisor = 8;
     base.maxCtas = 64;
+    return base;
+}
+
+/** Small, fast sim sweep: 2 datasets x 2 models on tiny scales. */
+SweepSpec
+tinySimSpec()
+{
     return SweepSpec{}
-        .base(base)
+        .base(tinySimBase())
         .models({GnnModelKind::Gcn, GnnModelKind::Gin})
         .datasets({DatasetId::Cora, DatasetId::CiteSeer});
 }
@@ -348,6 +356,50 @@ TEST(BenchSession, ComposesThreadBudgetAcrossLanes)
         return out;
     });
     EXPECT_EQ(max_seen.load(), 4);
+}
+
+TEST(Watchdog, CycleCeilingFailsPointWithTimeout)
+{
+    BenchSession::Options opts;
+    opts.pointCycleCeiling = 10; // every kernel exceeds this
+    const ResultStore store = BenchSession(opts).run(
+        SweepSpec{}.base(tinySimBase()));
+    ASSERT_EQ(store.size(), 1u);
+    const SweepResult &r = store.at(0);
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.errorKind, RunError::Timeout);
+    EXPECT_NE(r.error.find("watchdog"), std::string::npos);
+
+    // The taxonomy must surface in both emitters.
+    const std::string dir = ::testing::TempDir();
+    const std::string csvPath = dir + "sweep_watchdog.csv";
+    const std::string jsonPath = dir + "sweep_watchdog.json";
+    store.toCsv(csvPath);
+    store.toJson(jsonPath);
+    std::ifstream csv(csvPath), json(jsonPath);
+    std::stringstream csvText, jsonText;
+    csvText << csv.rdbuf();
+    jsonText << json.rdbuf();
+    std::remove(csvPath.c_str());
+    std::remove(jsonPath.c_str());
+    EXPECT_NE(csvText.str().find("error_kind"), std::string::npos);
+    EXPECT_NE(csvText.str().find("timeout"), std::string::npos);
+    EXPECT_NE(jsonText.str().find("\"error_kind\": \"timeout\""),
+              std::string::npos);
+}
+
+TEST(Watchdog, UnsetCeilingLeavesRunsUntouched)
+{
+    const SweepSpec spec = SweepSpec{}.base(tinySimBase());
+    const ResultStore plain = BenchSession().run(spec);
+    BenchSession::Options opts;
+    opts.pointCycleCeiling = 0;
+    const ResultStore gated = BenchSession(opts).run(spec);
+    ASSERT_TRUE(plain.at(0).ok);
+    ASSERT_TRUE(gated.at(0).ok);
+    EXPECT_EQ(
+        plain.at(0).outcome.metrics.at("graph_makespan_cycles"),
+        gated.at(0).outcome.metrics.at("graph_makespan_cycles"));
 }
 
 TEST(ResultStore, LookupByLabelAndPredicate)
