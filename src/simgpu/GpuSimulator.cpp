@@ -249,6 +249,7 @@ GpuSimulator::run(const KernelLaunch &launch, const SimOptions &opts)
     stats.cycles = ctl.cycle;
     stats.dramBusyCycles =
         static_cast<uint64_t>(mem.dramBusyCycles());
+    stats.dramChannels = cfg.numL2Slices;
     stats.dramQueuePeak = mem.dramQueuePeak();
     stats.smSamples = std::move(ctl.samples);
 

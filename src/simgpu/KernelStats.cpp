@@ -93,8 +93,8 @@ KernelStats::computeUtilization() const
 double
 KernelStats::memoryUtilization() const
 {
-    return cycles ? std::min(1.0, static_cast<double>(dramBusyCycles) /
-                                      cycles)
+    return cycles ? static_cast<double>(dramBusyCycles) /
+                        (static_cast<double>(dramChannels) * cycles)
                   : 0.0;
 }
 
@@ -179,6 +179,8 @@ KernelStats::merge(const KernelStats &other)
     memSectors += other.memSectors;
     dramBytes += other.dramBytes;
     dramBusyCycles += other.dramBusyCycles;
+    // Launches merged together ran on one machine.
+    dramChannels = std::max(dramChannels, other.dramChannels);
     dramRowHits += other.dramRowHits;
     dramRowMisses += other.dramRowMisses;
     // Queue depth does not accumulate across sequential launches.

@@ -117,7 +117,14 @@ struct KernelStats {
     uint64_t memInstrs = 0;
     uint64_t memSectors = 0;
     uint64_t dramBytes = 0;
+    /** Bus-busy cycles summed over every DRAM channel. */
     uint64_t dramBusyCycles = 0;
+    /**
+     * DRAM channels the launch ran on (one per L2 slice, each with
+     * 1/dramChannels of the bandwidth). Machine shape, not a counter:
+     * toStatSet() does not export it.
+     */
+    int dramChannels = 1;
     uint64_t dramRowHits = 0;   ///< DRAM reads hitting an open row
     uint64_t dramRowMisses = 0; ///< activates (closed bank/conflict)
     /**
@@ -209,7 +216,8 @@ struct KernelStats {
     double instrShare(InstrClass c) const;
     /** Fraction of scheduler slots doing ALU work (Fig. 9 compute). */
     double computeUtilization() const;
-    /** Fraction of DRAM bandwidth consumed (Fig. 9 memory). */
+    /** Fraction of DRAM bandwidth consumed (Fig. 9 memory): busy
+     *  channel-cycles over dramChannels x cycles, so at most 1. */
     double memoryUtilization() const;
     /** Average sectors per global memory instruction (divergence). */
     double divergence() const;

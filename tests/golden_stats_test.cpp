@@ -21,6 +21,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "engine/ExecutionEngine.hpp"
 #include "graph/Generators.hpp"
@@ -125,9 +126,10 @@ struct GoldenCase {
     const char *gpu; ///< hwdb preset name
 };
 
-std::string
-runPipeline(const GoldenCase &gc, int launch_lanes,
-            TraceSink *sink = nullptr)
+/** Simulate the golden pipeline of @p gc; one record per launch. */
+std::vector<KernelRecord>
+simulate(const GoldenCase &gc, int launch_lanes,
+         TraceSink *sink = nullptr)
 {
     SimEngine::Options opts;
     opts.gpu = hwPresetByName(gc.gpu).config;
@@ -146,7 +148,13 @@ runPipeline(const GoldenCase &gc, int launch_lanes,
     const Graph g = goldenGraph();
     GnnPipeline p(g, cfg);
     p.run(engine);
+    return engine.timeline();
+}
 
+std::string
+runPipeline(const GoldenCase &gc, int launch_lanes,
+            TraceSink *sink = nullptr)
+{
     std::string out = "{\n";
     out += std::string("\"model\": \"") + gnnModelName(gc.model) +
            "\",\n";
@@ -155,7 +163,7 @@ runPipeline(const GoldenCase &gc, int launch_lanes,
     out += std::string("\"gpu\": \"") + gc.gpu + "\",\n";
     out += "\"kernels\": [\n";
     bool first = true;
-    for (const auto &rec : engine.timeline()) {
+    for (const KernelRecord &rec : simulate(gc, launch_lanes, sink)) {
         EXPECT_TRUE(rec.hasSim) << rec.name;
         if (!first)
             out += ",\n";
@@ -282,6 +290,29 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         return n;
     });
+
+// Fig. 9's memory column. dram_busy_cycles sums the bus-busy cycles
+// of every DRAM channel, and each channel carries 1/dramChannels of
+// the bandwidth, so the utilization is the bytes moved over the peak
+// bytes the launch could have moved (up to the busy sum's
+// truncation), and it stays at most 1 without a clamp.
+TEST(GoldenMemoryUtilization, IsTheDramBandwidthFraction)
+{
+    const GoldenCase gc{"gin_mp_v100-sim", GnnModelKind::Gin,
+                        CompModel::Mp, "v100-sim"};
+    const double peak =
+        hwPresetByName(gc.gpu).config.dramBytesPerCycle();
+    for (const KernelRecord &rec : simulate(gc, /*launch_lanes=*/1)) {
+        const KernelStats &s = rec.sim;
+        ASSERT_GT(s.cycles, 0u) << rec.name;
+        const double cycles = static_cast<double>(s.cycles);
+        EXPECT_NEAR(s.memoryUtilization(),
+                    static_cast<double>(s.dramBytes) / (peak * cycles),
+                    1.0 / cycles)
+            << rec.name;
+        EXPECT_LE(s.memoryUtilization(), 1.0) << rec.name;
+    }
+}
 
 int
 main(int argc, char **argv)
