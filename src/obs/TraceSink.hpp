@@ -2,8 +2,9 @@
  * @file
  * Deterministic sim-time trace recording.
  *
- * A TraceSink records typed spans and counter samples whose timestamps live entirely in the *simulated cycle* domain —
- * never wall clock — so a trace is a pure function of the run's
+ * A TraceSink records typed spans and counter samples whose
+ * timestamps live entirely in the *simulated cycle* domain — never
+ * wall clock — so a trace is a pure function of the run's
  * deterministic state and is bit-identical across reruns,
  * `--sim-threads` and `--sweep-threads` counts, and machines.
  *

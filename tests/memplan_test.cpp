@@ -6,8 +6,8 @@
  * naive and plan-backed placement on every pipeline (including the
  * GAT level-parallelism pin), budget wave-packing of merged batches,
  * spill/reload slicing under a single-pipeline budget, and the
- * merged-plan arithmetic (shared arena + per-replica part peaks
- * predicts a larger batch's peak exactly).
+ * merged-plan arithmetic (the shared arena plus per-replica part
+ * peaks predict a larger batch's peak exactly).
  */
 
 #include <gtest/gtest.h>
