@@ -105,13 +105,6 @@ GpuSimulator::controlPhase(RunControl &ctl, bool issued,
         return;
     }
 
-    if (ctl.cancel &&
-        ctl.cancel->load(std::memory_order_relaxed)) {
-        ctl.done = true;
-        ctl.cancelled = true;
-        return;
-    }
-
     assignCtas(ctl);
 
     bool busy = ctl.nextCta < ctl.ctasToSim;
@@ -169,7 +162,6 @@ GpuSimulator::run(const KernelLaunch &launch, const SimOptions &opts)
     ctl.sampleOrder = plan.engaged ? &plan.order : nullptr;
     ctl.cycleLimit = opts.cycleLimit;
     ctl.cycleCeiling = opts.cycleCeiling;
-    ctl.cancel = opts.cancel;
     if (opts.smSampleEnabled) {
         ctl.sampleEnabled = true;
         ctl.sampleCore = std::clamp(opts.smSampleCore, 0,
@@ -192,12 +184,6 @@ GpuSimulator::run(const KernelLaunch &launch, const SimOptions &opts)
         controlPhase(ctl, issued, next_event);
     }
 
-    if (ctl.cancelled)
-        throw RunException(
-            RunError::Timeout,
-            "kernel '" + launch.name +
-                "' cancelled by watchdog at cycle " +
-                std::to_string(ctl.cycle));
     if (ctl.hitCeiling)
         throw RunException(
             RunError::Timeout,

@@ -17,7 +17,6 @@
 #ifndef GSUITE_SIMGPU_GPUSIMULATOR_HPP
 #define GSUITE_SIMGPU_GPUSIMULATOR_HPP
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -78,14 +77,6 @@ struct SimOptions {
     uint64_t cycleCeiling = 0;
 
     /**
-     * Watchdog cancel flag, polled once per control phase. When it
-     * becomes true the run aborts with RunException(Timeout). The
-     * abort cycle depends on wall-clock timing, but a cancelled run
-     * reports no stats, so determinism of successful runs holds.
-     */
-    const std::atomic<bool> *cancel = nullptr;
-
-    /**
      * Warp-scheduler trace sampling (src/obs, hwdb trace.* keys):
      * when enabled, the control phase snapshots the cumulative
      * stall/occupancy counters of SM smSampleCore at the first
@@ -120,11 +111,9 @@ class GpuSimulator
         uint64_t cycle = 0;
         uint64_t cycleLimit = 0;
         uint64_t cycleCeiling = 0;
-        const std::atomic<bool> *cancel = nullptr;
         bool done = false;
         bool hitLimit = false;
         bool hitCeiling = false;
-        bool cancelled = false;
         /**
          * CTA-sampled runs assign the plan's CTA ids instead of the
          * dense prefix; nextCta then indexes this order. nullptr in

@@ -1,15 +1,12 @@
 #include "suite/BenchSession.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <future>
 #include <list>
 #include <map>
 #include <mutex>
 #include <new>
-#include <thread>
 
 #include "frameworks/FrameworkAdapter.hpp"
 #include "hwdb/HwConfigFile.hpp"
@@ -18,86 +15,6 @@
 #include "util/ThreadPool.hpp"
 
 namespace gsuite {
-
-namespace {
-
-/**
- * Wall-clock watchdog shared by a sweep's lanes: each point arms a
- * deadline tied to its cancel flag; one session thread raises the
- * flags of points past their deadline. The simulator polls the flag
- * once per control phase and fails the run with RunError::Timeout.
- */
-class SweepWatchdog
-{
-  public:
-    ~SweepWatchdog() { stop(); }
-
-    uint64_t
-    arm(std::atomic<bool> *flag, int timeoutMs)
-    {
-        const auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::milliseconds(timeoutMs);
-        std::lock_guard<std::mutex> lock(mtx);
-        const uint64_t id = nextId++;
-        armed.emplace(id, Entry{deadline, flag});
-        if (!thread.joinable())
-            thread = std::thread([this] { watch(); });
-        cv.notify_one();
-        return id;
-    }
-
-    void
-    disarm(uint64_t id)
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        armed.erase(id);
-    }
-
-    void
-    stop()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mtx);
-            stopping = true;
-        }
-        cv.notify_one();
-        if (thread.joinable())
-            thread.join();
-    }
-
-  private:
-    struct Entry {
-        std::chrono::steady_clock::time_point deadline;
-        std::atomic<bool> *flag;
-    };
-
-    void
-    watch()
-    {
-        std::unique_lock<std::mutex> lock(mtx);
-        while (!stopping) {
-            const auto now = std::chrono::steady_clock::now();
-            auto next = now + std::chrono::hours(1);
-            for (auto &[id, e] : armed) {
-                if (e.deadline <= now)
-                    e.flag->store(true, std::memory_order_relaxed);
-                else
-                    next = std::min(next, e.deadline);
-            }
-            cv.wait_until(lock, next);
-        }
-    }
-
-    std::mutex mtx;
-    std::condition_variable cv;
-    std::map<uint64_t, Entry> armed;
-    uint64_t nextId = 1;
-    bool stopping = false;
-    std::thread thread;
-};
-
-} // namespace
 
 /**
  * Bounded, thread-safe (dataset, scale, seed) -> Graph cache.
@@ -418,7 +335,6 @@ BenchSession::run(const SweepSpec &spec,
             ? opts.threadBudget
             : std::max(lanes, ThreadPool::defaultLanes());
 
-    SweepWatchdog watchdog;
     std::mutex mtx;
     size_t done = 0;
     auto runOne = [&](size_t i, int /*lane*/) {
@@ -454,13 +370,6 @@ BenchSession::run(const SweepSpec &spec,
         }
         if (pt.params.cycleCeiling == 0)
             pt.params.cycleCeiling = opts.pointCycleCeiling;
-        std::atomic<bool> cancelFlag{false};
-        uint64_t armedId = 0;
-        if (opts.pointTimeoutMs > 0) {
-            pt.params.cancel = &cancelFlag;
-            armedId =
-                watchdog.arm(&cancelFlag, opts.pointTimeoutMs);
-        }
         SweepResult result;
         result.point = pt;
         try {
@@ -479,8 +388,6 @@ BenchSession::run(const SweepSpec &spec,
             result.error = "unknown exception";
             result.errorKind = RunError::Unknown;
         }
-        if (armedId)
-            watchdog.disarm(armedId);
         // Lane-dependent metrics surface only for a user-pinned lane
         // count: a composed one depends on the host and the sweep
         // width, as an auto one does (see runPoint).
@@ -497,9 +404,6 @@ BenchSession::run(const SweepSpec &spec,
             warn("point '%s': --trace requested but this bench's "
                  "runner wrote no trace",
                  pt.label.c_str());
-        // The flag dies with this frame; the stored point must not
-        // carry a dangling pointer.
-        result.point.params.cancel = nullptr;
         if (!result.ok)
             warn("sweep point '%s' failed [%s]: %s",
                  pt.label.c_str(), runErrorName(result.errorKind),

@@ -68,17 +68,6 @@ class BenchSession
         uint64_t pointCycleCeiling = 0;
 
         /**
-         * Wall-clock watchdog per point, milliseconds. A session
-         * thread raises the point's cancel flag past the deadline;
-         * the simulator aborts at its next control phase with
-         * RunError::Timeout. Only sim-engine work is interruptible
-         * (functional kernels run to completion). The abort point is
-         * timing-dependent, but failed points report no metrics, so
-         * determinism of successful results holds. 0 disables.
-         */
-        int pointTimeoutMs = 0;
-
-        /**
          * Capacity (graphs) of the per-session dataset cache used
          * by the default runner: sweep points sharing a
          * (dataset, scale, seed) load their graph once per session

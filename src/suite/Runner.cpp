@@ -40,7 +40,6 @@ AbstractionModule::makeEngine(const UserParams &params,
     opts.hwConfig.maxCtas = params.maxCtas;
     opts.sim.maxCtas = params.maxCtas;
     opts.sim.cycleCeiling = params.cycleCeiling;
-    opts.sim.cancel = params.cancel;
     opts.parallelLaunches = params.simParallelLaunches;
     auto engine = std::make_unique<SimEngine>(opts);
     engine->setMemPlanMode(params.memPlan, params.simThreads);

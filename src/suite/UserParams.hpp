@@ -8,7 +8,6 @@
 #ifndef GSUITE_SUITE_USERPARAMS_HPP
 #define GSUITE_SUITE_USERPARAMS_HPP
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -135,12 +134,6 @@ struct UserParams {
      */
     uint64_t cycleCeiling = 0;
 
-    /**
-     * Watchdog cancel flag forwarded to the simulator; not a CLI
-     * option — BenchSession installs a per-point flag that its
-     * wall-clock watchdog raises. Non-owning.
-     */
-    const std::atomic<bool> *cancel = nullptr;
     /**
      * Warp scheduler override. Unset (the default) defers to the
      * gpu preset/file; --scheduler or an ablation variant engages

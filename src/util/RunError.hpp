@@ -24,7 +24,7 @@ enum class RunError {
     None,    ///< did not fail
     Config,  ///< invalid or inconsistent configuration
     Oom,     ///< memory exhaustion (host or modeled device)
-    Timeout, ///< watchdog: cycle ceiling or wall-clock deadline
+    Timeout, ///< watchdog: simulated-cycle ceiling reached
     Unknown, ///< failed without a taxonomy (legacy throwers)
 };
 
