@@ -15,12 +15,9 @@ previous CI run's BENCH_sim_throughput.json against this run's):
     dependency scheduling changed and the change should say so.
     Drift is BLOCKING (exit 1): regenerate the goldens/artifacts
     deliberately or fix the regression;
-  - the memory planner's accounting (BENCH_memplan.json and the
-    mem_peak_* columns of graph runs) is likewise a pure function
-    of the op-graph: every metric ending in _bytes, the
-    plan_waves / plan_spills / plan_fits_budget / plan_sliced
-    budget counters, and plan_peak_ratio (a quotient of two exact
-    byte counts) are gated as blocking-exact;
+  - the memory planner's accounting (the mem_peak_* columns of
+    graph runs) is likewise a pure function of the op-graph: every
+    metric ending in _bytes is gated as blocking-exact;
   - sampled-simulation estimates (BENCH_sampled_sim.json) form
     their own class: an est_* metric carries a declared absolute
     error bar in its err_* sibling, so it must stay within the
@@ -46,12 +43,6 @@ import sys
 
 DETERMINISTIC = ("cycles", "warp_instrs", "graph_levels",
                  "graph_lanes",
-                 # BENCH_memplan.json: planner accounting is a pure
-                 # function of the op-graph (byte metrics are caught
-                 # by the _bytes suffix).
-                 "plan_waves", "plan_spills", "plan_fits_budget",
-                 "plan_sliced", "plan_peak_ratio", "graph_nodes",
-                 "graph_max_level_width",
                  # Memory-hierarchy counters: MSHR occupancy and the
                  # banked DRAM model are pure functions of the access
                  # stream (mshr_stall_cycles is caught by the _cycles

@@ -6,7 +6,6 @@
 #include "memplan/MemPlan.hpp"
 #include "obs/GraphTrace.hpp"
 #include "obs/TraceSink.hpp"
-#include "util/Logging.hpp"
 #include "util/Timer.hpp"
 
 namespace gsuite {
@@ -37,65 +36,6 @@ ExecutionEngine::runKernel(Kernel &kernel,
 }
 
 void
-ExecutionEngine::executeLevels(const OpGraph &graph,
-                               size_t firstRecord)
-{
-    const size_t n = graph.numNodes();
-    records.resize(firstRecord + n);
-    for (size_t i = 0; i < n; ++i) {
-        records[firstRecord + i].name = graph.node(i).kernel->name();
-        records[firstRecord + i].kind = graph.node(i).kernel->kind();
-    }
-
-    // Any dependency edge strictly increases level, so nodes of one
-    // level are pairwise independent — including WAR/WAW hazards,
-    // which io()-derived edges cover. Plan-backed placement makes
-    // their addresses order-independent too, so the level is safe to
-    // execute concurrently.
-    std::vector<std::vector<size_t>> byLevel(graph.numLevels());
-    for (const OpNode &nd : graph.nodes())
-        byLevel[static_cast<size_t>(nd.level)].push_back(nd.index);
-    size_t width = 0;
-    for (const auto &level : byLevel)
-        width = std::max(width, level.size());
-
-    int lanes =
-        planThreads > 0 ? planThreads : ThreadPool::defaultLanes();
-    lanes = static_cast<int>(std::min<size_t>(
-        static_cast<size_t>(std::max(lanes, 1)), width));
-    if (lanes > 1 && (!execPool || execPool->lanes() != lanes))
-        execPool = std::make_unique<ThreadPool>(lanes);
-
-    for (const auto &level : byLevel) {
-        if (level.size() == 1 || lanes <= 1) {
-            for (size_t i : level) {
-                Timer t;
-                graph.node(i).kernel->execute();
-                records[firstRecord + i].wallUs = t.elapsedUs();
-            }
-            continue;
-        }
-        // Workers must not unwind; capture and rethrow the lowest
-        // schedule index so failures are lane-schedule-independent.
-        std::vector<std::exception_ptr> errors(level.size());
-        execPool->parallelFor(
-            level.size(), [&](size_t k, int) {
-                try {
-                    Timer t;
-                    graph.node(level[k]).kernel->execute();
-                    records[firstRecord + level[k]].wallUs =
-                        t.elapsedUs();
-                } catch (...) {
-                    errors[k] = std::current_exception();
-                }
-            });
-        for (std::exception_ptr &e : errors)
-            if (e)
-                std::rethrow_exception(e);
-    }
-}
-
-void
 ExecutionEngine::run(const OpGraph &graph)
 {
     graph.validate();
@@ -118,79 +58,33 @@ ExecutionEngine::run(const OpGraph &graph)
                    : *partAllocs[static_cast<size_t>(n.part)];
     };
 
-    MemPlan plan;
-    bool planned = false;
-    if (planMode) {
+    // Functional execution, launch construction and on-demand
+    // address assignment interleave in the deterministic schedule
+    // order; only the deferred timing simulations overlap, joined by
+    // sync().
+    for (const OpNode &n : graph.nodes()) {
         try {
-            // Phase A: level-parallel functional execution — legal
-            // before any launch exists because plan-backed placement
-            // decouples addresses from execution order.
-            executeLevels(graph, firstRecord);
-
-            // Phase B: plan from the (now-sized) span declarations.
-            plan = MemPlan::build(graph);
-            planned = plan.fullSpanCoverage();
-            if (!planned && graph.numNodes() > 0)
-                warn("mem-plan: graph has nodes without ioSpans() "
-                     "declarations; falling back to naive "
-                     "on-demand placement");
-
-            // Phase C: freeze the canonical layout, then build
-            // launches and measure in schedule order (the timeline
-            // order is part of the deterministic contract).
-            if (planned) {
-                if (partAllocs.empty())
-                    plan.bindAllocator(alloc, 0);
-                else
-                    for (size_t p = 0; p < partAllocs.size(); ++p)
-                        plan.bindAllocator(*partAllocs[p], p);
-            }
-            size_t nodeIndex = 0;
-            for (const OpNode &n : graph.nodes()) {
-                measureKernel(firstRecord + nodeIndex, *n.kernel,
-                              allocFor(n));
-                ++nodeIndex;
-            }
+            runKernel(*n.kernel, allocFor(n));
         } catch (...) {
-            alloc.thaw();
+            // Deferred simulations reference operand buffers the
+            // caller may destroy while unwinding; drain them before
+            // propagating the node's failure. A secondary sync
+            // failure must not mask the original error.
             try {
                 sync();
             } catch (...) {
             }
             throw;
         }
-        alloc.thaw();
-    } else {
-        // Naive mode: functional execution, launch construction and
-        // on-demand address assignment interleave in the
-        // deterministic schedule order; only the deferred timing
-        // simulations overlap, joined by sync().
-        for (const OpNode &n : graph.nodes()) {
-            try {
-                runKernel(*n.kernel, allocFor(n));
-            } catch (...) {
-                // Deferred simulations reference operand buffers the
-                // caller may destroy while unwinding; drain them
-                // before propagating the node's failure. A secondary
-                // sync failure must not mask the original error.
-                try {
-                    sync();
-                } catch (...) {
-                }
-                throw;
-            }
-        }
-        // Plan post-hoc for reporting: peaks are a pure function of
-        // the graph, so naive runs report the same numbers a
-        // plan-backed run would.
-        plan = MemPlan::build(graph);
     }
+    // Memory accounting: peaks are a pure function of the graph.
+    const MemPlan plan = MemPlan::build(graph);
     sync();
 
     // Stamp the per-node naive placement high-water into the sim
-    // stats. Derived from the plan's canonical replay — not from the
-    // live allocator — so it is identical across runs on a warm
-    // engine and across placement modes.
+    // stats. Derived from the plan's schedule-order replay — not from
+    // the live allocator — so it is identical across runs on a warm
+    // engine.
     if (plan.fullSpanCoverage())
         for (size_t i = 0; i < graph.numNodes(); ++i) {
             KernelRecord &rec = records[firstRecord + i];
@@ -201,18 +95,9 @@ ExecutionEngine::run(const OpGraph &graph)
 
     GraphRunReport report;
     report.nodes = graph.numNodes();
-    report.edges = graph.numEdges();
     report.levels = graph.numLevels();
     report.parts = graph.numParts();
     report.lanes = std::max(1, concurrentLaneCount());
-    {
-        std::vector<size_t> widths(graph.numLevels(), 0);
-        for (const OpNode &n : graph.nodes())
-            report.maxLevelWidth = std::max(
-                report.maxLevelWidth,
-                ++widths[static_cast<size_t>(n.level)]);
-    }
-    report.planned = planned;
     report.memPeakPlannedBytes = plan.peakBytes();
     report.memPeakNaiveBytes = plan.naiveBytes();
     std::vector<uint64_t> costs;
@@ -292,7 +177,7 @@ SimEngine::measureKernel(size_t recordIndex, Kernel &kernel,
     }
 
     // Fallback value for single-kernel runs; graph runs overwrite it
-    // with the plan-derived (mode- and warmth-independent) figure.
+    // with the plan-derived (warmth-independent) figure.
     const uint64_t devPeak = kernelAlloc.bytesPeak();
 
     if (effectiveParallel() <= 1) {

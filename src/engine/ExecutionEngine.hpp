@@ -50,20 +50,15 @@ struct KernelRecord {
  */
 struct GraphRunReport {
     size_t nodes = 0;
-    size_t edges = 0;
     size_t levels = 0; ///< dependency depth of the graph
     size_t parts = 1;  ///< merged sub-pipelines (batch size)
     int lanes = 1;     ///< concurrent launch lanes modeled
-    size_t maxLevelWidth = 0; ///< widest dependency level
 
     bool hasSim = false; ///< cycle fields valid (sim engine only)
     uint64_t serialCycles = 0;       ///< sum of launch cycles
     uint64_t criticalPathCycles = 0; ///< longest dependency chain
     uint64_t makespanCycles = 0;     ///< list-schedule over lanes
 
-    /** True when plan-backed placement ran (mem-plan mode + full
-     *  span coverage); functional execution was level-parallel. */
-    bool planned = false;
     /** MemPlan::peakBytes() of the graph (0 without coverage). */
     uint64_t memPeakPlannedBytes = 0;
     /** Naive bump-layout total (0 without coverage). */
@@ -80,19 +75,16 @@ class ExecutionEngine
     void run(Kernel &kernel) { runKernel(kernel, alloc); }
 
     /**
-     * Execute a dataflow graph. In the default naive mode every node
-     * runs in the graph's deterministic schedule order (so the
-     * timeline — and on the sim engine every launch's
-     * device-address layout and stats — is bit-identical to running
-     * the kernels serially one by one), then sync()s so deferred
-     * simulations overlap across the engine's lanes. In mem-plan
-     * mode (setMemPlanMode) functional execution is level-parallel
-     * and launches are built against a pre-planned frozen address
-     * layout — statistics stay bit-identical because the canonical
-     * plan layout IS the naive layout. Merged graphs give each part
-     * its own device address space, making per-part statistics
-     * bit-identical to running that part's pipeline alone on a
-     * fresh engine. Fills lastGraphReport().
+     * Execute a dataflow graph. Every node runs in the graph's
+     * deterministic schedule order (so the timeline — and on the sim
+     * engine every launch's device-address layout and stats — is
+     * bit-identical to running the kernels serially one by one),
+     * then sync()s so deferred simulations overlap across the
+     * engine's lanes. Merged graphs give each part its own device
+     * address space, making per-part statistics bit-identical to
+     * running that part's pipeline alone on a fresh engine. A
+     * MemPlan of the graph supplies the memory accounting. Fills
+     * lastGraphReport().
      */
     void run(const OpGraph &graph);
 
@@ -105,30 +97,10 @@ class ExecutionEngine
     virtual void sync() {}
 
     /**
-     * Enable plan-backed placement for run(OpGraph&): functional
-     * execution goes level-parallel (same-level nodes have no
-     * dependency path between them), then a MemPlan pre-maps and
-     * freezes every declared span in canonical schedule order before
-     * any launch is built — so device addresses, and therefore every
-     * simulated statistic, stay bit-identical to a naive in-order
-     * run. Graphs with undeclared spans (barriers, external kernels)
-     * fall back to naive on-demand placement with a warn().
-     *
-     * @param execThreads Lanes for level-parallel functional
-     *        execution; 0 = auto.
-     */
-    void
-    setMemPlanMode(bool on, int execThreads = 0)
-    {
-        planMode = on;
-        planThreads = execThreads;
-    }
-
-    /**
      * Attach a trace sink (src/obs; nullptr detaches). Each
      * run(OpGraph&) call then appends its engine/sm/memplan tracks
      * (per-lane node spans, sampled warp-scheduler counters on the
-     * sim engine, memory high-water + spill/reload spans) to the
+     * sim engine, memory high-water curves) to the
      * sink, and the sim engine turns on SM warp-scheduler sampling
      * for its launches. Observation only: every deterministic
      * counter is bit-identical with a sink attached or not (pinned
@@ -169,7 +141,7 @@ class ExecutionEngine
     /**
      * Execute one kernel against an explicit device address space
      * and append a record (functional execution + measurement).
-     * run(Kernel&) passes the engine's shared allocator; naive-mode
+     * run(Kernel&) passes the engine's shared allocator;
      * run(OpGraph&) passes a per-part allocator for merged graphs so
      * each part's address layout matches a standalone run.
      */
@@ -178,9 +150,8 @@ class ExecutionEngine
     /**
      * Measurement face of one already-executed kernel: build its
      * launch against @p kernelAlloc and fill records[recordIndex]'s
-     * sim/hw fields. Plan-backed runs call this in schedule order
-     * after the level-parallel functional phase; runKernel() calls
-     * it right after execute(). Default: no measurement.
+     * sim/hw fields; runKernel() calls it right after execute().
+     * Default: no measurement.
      */
     virtual void measureKernel(size_t recordIndex, Kernel &kernel,
                                DeviceAllocator &kernelAlloc)
@@ -200,14 +171,6 @@ class ExecutionEngine
     DeviceAllocator alloc;
     GraphRunReport graphReport;
     TraceSink *trace = nullptr;
-    bool planMode = false;
-    int planThreads = 0;
-
-  private:
-    /** Level-parallel functional phase of a plan-backed run. */
-    void executeLevels(const OpGraph &graph, size_t firstRecord);
-
-    std::unique_ptr<ThreadPool> execPool;
 };
 
 /** Host-execution engine with optional hardware cache profiling. */

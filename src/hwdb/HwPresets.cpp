@@ -163,9 +163,7 @@ h100Sim()
  * 192 KiB combined L1/shared per SM, 4 MiB shared L2, and 204.8 GB/s
  * of LPDDR5 *shared with the CPU* — at the 1.3 GHz GPU clock that is
  * ~157.5 B/cyc over 16 SMs => 9.84 B/cyc per SM, with DRAM latency
- * well above the discrete parts (LPDDR over a coherent fabric). The
- * shared-memory budget class: the natural target for budget-
- * constrained memory planning (src/memplan).
+ * well above the discrete parts (LPDDR over a coherent fabric).
  */
 GpuConfig
 jetsonOrinSim()

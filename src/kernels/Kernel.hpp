@@ -45,11 +45,14 @@ struct KernelIo {
  * several spans — a CSR maps rowPtr/colIdx/vals separately); `data`
  * and `bytes` are exactly what makeLaunch() passes to
  * DeviceAllocator::map for that span. The memory planner
- * (src/memplan) rebuilds the naive address layout by replaying these
- * declarations in schedule order, so a kernel's ioSpans() MUST list
- * its spans in makeLaunch()'s map order with makeLaunch()'s exact
- * byte sizes — the plan-backed placement mode freezes the allocator
- * and treats any undeclared map() as a contract violation.
+ * (src/memplan) replays these declarations in schedule order for its
+ * naive high-water accounting and places buffers in first-span
+ * order, so a kernel's ioSpans() MUST list every span makeLaunch()
+ * maps, in map order, with makeLaunch()'s exact byte sizes.
+ * memplan_test replays every pipeline's launches on a fresh
+ * allocator and checks each declared span is mapped and the
+ * allocator's peak equals the planner's naive high water, node by
+ * node.
  */
 struct IoSpan {
     const void *buffer = nullptr; ///< owning io() container key
@@ -94,7 +97,7 @@ class Kernel
      * with exact sizes. Valid only after execute() (span sizes may
      * be data-dependent, e.g. SpGEMM's output). The default (empty)
      * declaration marks the kernel as opaque to the memory planner:
-     * graphs containing such a node fall back to naive placement.
+     * graphs containing such a node get no plan (zero accounting).
      */
     virtual std::vector<IoSpan> ioSpans() const { return {}; }
 };

@@ -1,8 +1,6 @@
 #include "memplan/MemPlan.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cstring>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -26,16 +24,15 @@ alignUp(uint64_t bytes)
 
 /**
  * Everything the planner derives from a graph's io()/ioSpans()
- * declarations: per-buffer footprints and accessor lists, span
- * attribution, and the dependency-ancestor closure used by the
- * happens-before lifetime model.
+ * declarations: per-buffer footprints and accessor lists, and the
+ * dependency-ancestor closure used by the happens-before lifetime
+ * model.
  */
 struct GraphMem {
     size_t n = 0;
     size_t words = 0; ///< bitset words per ancestor row
     bool coverage = false;
     std::vector<std::vector<IoSpan>> nodeSpans;
-    std::unordered_map<const void *, BufferId> hostToBuf;
     std::vector<uint64_t> footprint; ///< per buffer, spans deduped
     std::vector<size_t> firstSpanOrder; ///< global first appearance
     std::vector<std::vector<size_t>> accessors; ///< per buffer, asc
@@ -65,10 +62,10 @@ analyze(const OpGraph &graph)
     m.bufPart.assign(nbuf, -2);
     m.anc.assign(m.n * m.words, 0);
 
+    std::unordered_map<const void *, BufferId> hostToBuf;
     for (size_t b = 0; b < nbuf; ++b)
-        m.hostToBuf.emplace(graph.buffer(static_cast<BufferId>(b))
-                                .host,
-                            static_cast<BufferId>(b));
+        hostToBuf.emplace(graph.buffer(static_cast<BufferId>(b)).host,
+                          static_cast<BufferId>(b));
 
     std::unordered_set<const void *> seenSpanData;
     size_t spanOrder = 0;
@@ -79,8 +76,8 @@ analyze(const OpGraph &graph)
             m.coverage = false;
 
         for (const IoSpan &s : m.nodeSpans[i]) {
-            const auto it = m.hostToBuf.find(s.buffer);
-            panicIf(it == m.hostToBuf.end(),
+            const auto it = hostToBuf.find(s.buffer);
+            panicIf(it == hostToBuf.end(),
                     "ioSpans() declares a span whose buffer is not "
                     "in the kernel's io() declaration");
             const size_t b = static_cast<size_t>(it->second);
@@ -150,12 +147,6 @@ deadBefore(const OpGraph &graph, const GraphMem &m,
 }
 
 bool
-intervalsOverlap(const PlannedWindow &a, const PlannedWindow &b)
-{
-    return a.firstNode <= b.lastNode && b.firstNode <= a.lastNode;
-}
-
-bool
 regionsOverlap(const PlannedWindow &a, const PlannedWindow &b)
 {
     return a.offset < b.offset + b.bytes &&
@@ -164,11 +155,8 @@ regionsOverlap(const PlannedWindow &a, const PlannedWindow &b)
 
 bool
 windowsConflict(const OpGraph &graph, const GraphMem &m,
-                LifetimeModel model, const PlannedWindow &a,
-                const PlannedWindow &b)
+                const PlannedWindow &a, const PlannedWindow &b)
 {
-    if (a.id == b.id || model == LifetimeModel::Serial)
-        return intervalsOverlap(a, b);
     return !deadBefore(graph, m, a, b) &&
            !deadBefore(graph, m, b, a);
 }
@@ -178,32 +166,21 @@ windowsConflict(const OpGraph &graph, const GraphMem &m,
 MemPlan
 MemPlan::build(const OpGraph &graph)
 {
-    return build(graph, Options());
-}
-
-MemPlan
-MemPlan::build(const OpGraph &graph, const Options &opts)
-{
     MemPlan plan;
-    plan.budget = opts.budgetBytes;
-    plan.model = opts.lifetime;
     const size_t numParts = graph.numParts();
     plan.partPeaks.assign(numParts, 0);
-    plan.partWave.assign(numParts, 0);
-    plan.partReplay.resize(numParts);
     plan.highWater.assign(graph.numNodes(), 0);
 
     const GraphMem m = analyze(graph);
     plan.coverage = m.coverage;
     if (!m.coverage) {
         // A barrier / external kernel hides its spans: nothing to
-        // plan. Accounting stays zero; a budget cannot be checked.
-        plan.fits = opts.budgetBytes == 0;
+        // plan. Accounting stays zero.
         return plan;
     }
 
-    // Naive accounting and the canonical per-part replay order: what
-    // the bump allocator maps, per part, each distinct span once.
+    // Naive accounting: what the bump allocator maps, replaying the
+    // spans in schedule order, per part, each distinct span once.
     plan.naiveHW.assign(m.n, 0);
     std::vector<std::unordered_set<const void *>> partSeen(numParts);
     std::vector<uint64_t> partCum(numParts, 0);
@@ -211,7 +188,6 @@ MemPlan::build(const OpGraph &graph, const Options &opts)
         const size_t part =
             static_cast<size_t>(graph.node(i).part);
         for (const IoSpan &s : m.nodeSpans[i]) {
-            plan.partReplay[part].push_back(s);
             if (partSeen[part].insert(s.data).second) {
                 plan.naiveTotal += alignUp(s.bytes);
                 partCum[part] += alignUp(s.bytes);
@@ -220,58 +196,29 @@ MemPlan::build(const OpGraph &graph, const Options &opts)
         plan.naiveHW[i] = partCum[part];
     }
 
-    // Lifetime windows: one per buffer, split at spill/reload copy
-    // nodes under the Serial model (the spilled gap is off-device).
+    // Lifetime windows: one per buffer, first to last accessor.
     for (size_t b = 0; b < graph.numBuffers(); ++b) {
         if (m.footprint[b] == 0)
             continue;
         const BufferId id = static_cast<BufferId>(b);
-        PlannedWindow proto;
-        proto.id = id;
-        proto.host = graph.buffer(id).host;
-        proto.bytes = m.footprint[b];
-        proto.part = m.bufPart[b];
-        proto.input = graph.buffer(id).isInput();
-
-        bool open = false;
-        PlannedWindow cur = proto;
-        for (size_t acc : m.accessors[b]) {
-            const auto *copy =
-                opts.lifetime == LifetimeModel::Serial
-                    ? dynamic_cast<const MemCopyKernel *>(
-                          graph.node(acc).kernel)
-                    : nullptr;
-            if (copy && copy->bufferKey() == proto.host &&
-                copy->direction() == MemCopyKernel::Dir::Spill) {
-                cur.lastNode = acc; // live through the spill copy
-                plan.windowList.push_back(cur);
-                open = false;
-                continue;
-            }
-            if (!open) {
-                cur = proto;
-                cur.firstNode = acc;
-                open = true;
-            }
-            cur.lastNode = acc;
-        }
-        if (open)
-            plan.windowList.push_back(cur);
+        PlannedWindow w;
+        w.id = id;
+        w.host = graph.buffer(id).host;
+        w.bytes = m.footprint[b];
+        w.part = m.bufPart[b];
+        w.input = graph.buffer(id).isInput();
+        w.firstNode = m.accessors[b].front();
+        w.lastNode = m.accessors[b].back();
+        plan.windowList.push_back(w);
     }
 
     // Deterministic placement order: first span appearance in the
-    // canonical replay (== naive map order), then window start.
+    // schedule-order replay (== naive map order). Each span belongs
+    // to one buffer, so the keys are distinct.
     std::sort(plan.windowList.begin(), plan.windowList.end(),
               [&](const PlannedWindow &a, const PlannedWindow &b) {
-                  const size_t oa =
-                      m.firstSpanOrder[static_cast<size_t>(a.id)];
-                  const size_t ob =
-                      m.firstSpanOrder[static_cast<size_t>(b.id)];
-                  if (oa != ob)
-                      return oa < ob;
-                  if (a.firstNode != b.firstNode)
-                      return a.firstNode < b.firstNode;
-                  return a.id < b.id;
+                  return m.firstSpanOrder[static_cast<size_t>(a.id)] <
+                         m.firstSpanOrder[static_cast<size_t>(b.id)];
               });
 
     // Greedy best-fit within one arena: each window takes the
@@ -288,7 +235,7 @@ MemPlan::build(const OpGraph &graph, const Options &opts)
             std::vector<std::pair<uint64_t, uint64_t>> busy;
             for (size_t pj : placed) {
                 const PlannedWindow &q = plan.windowList[pj];
-                if (windowsConflict(graph, m, opts.lifetime, w, q))
+                if (windowsConflict(graph, m, w, q))
                     busy.emplace_back(q.offset,
                                       q.offset + q.bytes);
             }
@@ -334,49 +281,13 @@ MemPlan::build(const OpGraph &graph, const Options &opts)
     for (size_t p = 0; p < numParts; ++p)
         plan.partPeaks[p] = place(partDomain[p]);
 
-    // Budget: pack parts into sequential waves; parts in later waves
-    // rebase onto the same address range (they never run
-    // concurrently with an earlier wave).
-    uint64_t allPartBytes = 0;
-    for (uint64_t pk : plan.partPeaks)
-        allPartBytes += pk;
-    plan.waves = 1;
-    if (opts.budgetBytes > 0 && numParts > 1 &&
-        plan.sharedArena + allPartBytes > opts.budgetBytes) {
-        int wave = 0;
-        uint64_t cur = plan.sharedArena;
-        bool waveEmpty = true;
-        for (size_t p = 0; p < numParts; ++p) {
-            if (!waveEmpty && cur + plan.partPeaks[p] >
-                                  opts.budgetBytes) {
-                ++wave;
-                cur = plan.sharedArena;
-                waveEmpty = true;
-            }
-            plan.partWave[p] = wave;
-            cur += plan.partPeaks[p];
-            waveEmpty = false;
-        }
-        plan.waves = static_cast<size_t>(wave) + 1;
-    }
-
-    std::vector<uint64_t> partBase(numParts, plan.sharedArena);
-    for (size_t p = 1; p < numParts; ++p) {
-        partBase[p] = partBase[p - 1];
-        if (plan.partWave[p] == plan.partWave[p - 1])
-            partBase[p] += plan.partPeaks[p - 1];
-        else
-            partBase[p] = plan.sharedArena; // new wave rebases
-    }
-    for (size_t p = 0; p < numParts; ++p)
+    uint64_t base = plan.sharedArena;
+    for (size_t p = 0; p < numParts; ++p) {
         for (size_t wi : partDomain[p])
-            plan.windowList[wi].offset += partBase[p];
-
-    plan.peak = plan.sharedArena;
-    for (const PlannedWindow &w : plan.windowList)
-        plan.peak = std::max(plan.peak, w.offset + w.bytes);
-    plan.fits =
-        opts.budgetBytes == 0 || plan.peak <= opts.budgetBytes;
+            plan.windowList[wi].offset += base;
+        base += plan.partPeaks[p];
+    }
+    plan.peak = base;
 
     for (const PlannedWindow &w : plan.windowList)
         for (size_t i = w.firstNode; i <= w.lastNode; ++i)
@@ -394,28 +305,6 @@ MemPlan::partPeakBytes(size_t part) const
     return partPeaks[part];
 }
 
-int
-MemPlan::waveOf(size_t part) const
-{
-    panicIf(part >= partWave.size(), "waveOf: part out of range");
-    return partWave[part];
-}
-
-void
-MemPlan::bindAllocator(DeviceAllocator &alloc, size_t part) const
-{
-    panicIf(!coverage,
-            "bindAllocator on a plan without full span coverage");
-    panicIf(part >= partReplay.size(),
-            "bindAllocator: part out of range");
-    // map() is idempotent, so replaying the canonical span order
-    // reproduces the naive layout exactly — including on a warm
-    // allocator that already holds mappings from earlier runs.
-    for (const IoSpan &s : partReplay[part])
-        alloc.map(s.data, s.bytes);
-    alloc.freeze();
-}
-
 void
 MemPlan::verify(const OpGraph &graph) const
 {
@@ -426,262 +315,15 @@ MemPlan::verify(const OpGraph &graph) const
             const PlannedWindow &b = windowList[j];
             if (!regionsOverlap(a, b))
                 continue;
-            if (a.id == b.id) {
-                panicIf(intervalsOverlap(a, b),
-                        "memplan: split windows of one buffer "
-                        "overlap in both space and time");
-                continue;
-            }
-            if (a.part >= 0 && b.part >= 0 && a.part != b.part) {
-                panicIf(partWave[static_cast<size_t>(a.part)] ==
-                            partWave[static_cast<size_t>(b.part)],
-                        "memplan: windows of two parts in the same "
-                        "wave overlap");
-                continue;
-            }
-            panicIf(windowsConflict(graph, m, model, a, b),
+            panicIf(a.part != b.part,
+                    "memplan: windows of two arenas overlap");
+            panicIf(windowsConflict(graph, m, a, b),
                     "memplan: overlapping regions with "
                     "non-disjoint lifetimes");
         }
     }
     panicIf(coverage && peak > naiveTotal,
             "memplan: planned peak exceeds the naive total");
-}
-
-MemCopyKernel::MemCopyKernel(std::string label_in, Dir dir,
-                             const void *bufferKey,
-                             std::vector<IoSpan> spans_in,
-                             std::vector<uint8_t> &staging)
-    : label(std::move(label_in)), dir(dir), bufKey(bufferKey),
-      spans(std::move(spans_in)), staging(staging)
-{
-}
-
-void
-MemCopyKernel::execute()
-{
-    uint64_t total = 0;
-    for (const IoSpan &s : spans)
-        total += s.bytes;
-    if (dir == Dir::Spill) {
-        staging.resize(total);
-        uint64_t off = 0;
-        for (const IoSpan &s : spans) {
-            std::memcpy(staging.data() + off, s.data, s.bytes);
-            off += s.bytes;
-        }
-        return;
-    }
-    panicIf(staging.size() != total,
-            "reload before its matching spill ran");
-    uint64_t off = 0;
-    for (const IoSpan &s : spans) {
-        // Reload restores the exact spilled bytes into the (owned,
-        // mutable) operand containers the spans point into.
-        std::memcpy(const_cast<void *>(s.data),
-                    staging.data() + off, s.bytes);
-        off += s.bytes;
-    }
-}
-
-KernelIo
-MemCopyKernel::io() const
-{
-    if (dir == Dir::Spill)
-        return {{bufKey}, {const_cast<std::vector<uint8_t> *>(
-                     &staging)}};
-    return {{const_cast<std::vector<uint8_t> *>(&staging)},
-            {bufKey}};
-}
-
-KernelLaunch
-MemCopyKernel::makeLaunch(DeviceAllocator &alloc) const
-{
-    // Device side of the transfer only: a spill streams reads out of
-    // the spans, a reload streams writes back in (the host leg rides
-    // the copy engine, not the SMs). Staging is host memory and is
-    // never device-mapped.
-    struct Seg {
-        uint64_t base;
-        int64_t words;
-    };
-    std::vector<Seg> segs;
-    int64_t totalWords = 0;
-    uint64_t totalBytes = 0;
-    for (const IoSpan &s : spans) {
-        const uint64_t base = alloc.map(s.data, s.bytes);
-        const int64_t words =
-            static_cast<int64_t>((s.bytes + 3) / 4);
-        segs.push_back({base, words});
-        totalWords += words;
-        totalBytes += s.bytes;
-    }
-
-    KernelLaunch launch;
-    launch.name = label;
-    launch.kind = KernelClass::Aux;
-    launch.dims.numCtas =
-        ceilDiv(std::max<int64_t>(totalWords, 1), kCtaThreads);
-    launch.dims.threadsPerCta = kCtaThreads;
-    launch.bytesEstimate = totalBytes;
-
-    const bool isSpill = dir == Dir::Spill;
-    launch.streamTrace = [=](int64_t cta,
-                             int warp) -> WarpTraceStream {
-        return [=](TraceBuilder &b) {
-            const int64_t t0 =
-                (cta * kCtaWarps + warp) * static_cast<int64_t>(32);
-            const int lanes = static_cast<int>(
-                std::clamp<int64_t>(totalWords - t0, 0, 32));
-            if (lanes == 0) {
-                b.exit();
-                return true;
-            }
-            const uint32_t mask = maskOfLanes(lanes);
-            std::array<uint64_t, 32> addrs{};
-            for (int l = 0; l < lanes; ++l) {
-                int64_t w = t0 + l;
-                uint64_t addr = 0;
-                for (const Seg &seg : segs) {
-                    if (w < seg.words) {
-                        addr = seg.base +
-                               static_cast<uint64_t>(w) * 4;
-                        break;
-                    }
-                    w -= seg.words;
-                }
-                addrs[static_cast<size_t>(l)] = addr;
-            }
-            b.aluChain(Op::INT, 2, mask);
-            if (isSpill) {
-                b.load({addrs.data(),
-                        static_cast<size_t>(lanes)});
-            } else {
-                const Reg v =
-                    b.alu(Op::INT, kNoReg, kNoReg, mask);
-                b.store({addrs.data(),
-                         static_cast<size_t>(lanes)},
-                        v);
-            }
-            b.exit();
-            return true;
-        };
-    };
-    return launch;
-}
-
-SpilledGraph
-spillToBudget(const OpGraph &graph, uint64_t budgetBytes)
-{
-    panicIf(graph.numParts() != 1,
-            "spillToBudget handles single-part graphs; merged "
-            "graphs are wave-packed by MemPlan instead");
-    SpilledGraph out;
-    std::vector<Kernel *> sched;
-    sched.reserve(graph.numNodes());
-    for (const OpNode &node : graph.nodes())
-        sched.push_back(node.kernel);
-
-    MemPlan::Options popts;
-    popts.budgetBytes = budgetBytes;
-    popts.lifetime = LifetimeModel::Serial;
-    constexpr size_t kMaxSpills = 32;
-
-    for (;;) {
-        OpGraph g;
-        for (Kernel *k : sched)
-            g.addNode(*k);
-        MemPlan plan = MemPlan::build(g, popts);
-
-        if (plan.fullSpanCoverage() && !plan.fitsBudget() &&
-            out.spills < kMaxSpills) {
-            const GraphMem m = analyze(g);
-            // The schedule point where the plan peaks (lowest index
-            // on ties) — the node a spill must relieve.
-            size_t nStar = 0;
-            for (size_t i = 1; i < plan.nodeHighWater().size();
-                 ++i)
-                if (plan.nodeHighWater()[i] >
-                    plan.nodeHighWater()[nStar])
-                    nStar = i;
-
-            // Victim: the largest non-input window live-but-idle
-            // across the peak — spill after its last accessor before
-            // n*, reload before its next accessor after n*.
-            const PlannedWindow *victim = nullptr;
-            size_t prev = 0;
-            size_t next = 0;
-            for (const PlannedWindow &w : plan.windows()) {
-                if (w.input || w.bytes == 0)
-                    continue;
-                if (!(w.firstNode < nStar && nStar < w.lastNode))
-                    continue;
-                const auto &acc =
-                    m.accessors[static_cast<size_t>(w.id)];
-                if (std::binary_search(acc.begin(), acc.end(),
-                                       nStar))
-                    continue; // accessed at the peak: not idle
-                size_t p = w.firstNode;
-                size_t nx = w.lastNode;
-                for (size_t a : acc) {
-                    if (a < nStar && a >= w.firstNode)
-                        p = std::max(p, a);
-                    if (a > nStar && a <= w.lastNode)
-                        nx = std::min(nx, a);
-                }
-                const bool better =
-                    victim == nullptr ||
-                    w.bytes > victim->bytes ||
-                    (w.bytes == victim->bytes &&
-                     w.id < victim->id);
-                if (better) {
-                    victim = &w;
-                    prev = p;
-                    next = nx;
-                }
-            }
-            if (victim != nullptr) {
-                // Collect the victim's device spans in canonical
-                // (first appearance) order for the copy kernels.
-                std::vector<IoSpan> vspans;
-                std::unordered_set<const void *> seen;
-                for (size_t i = 0; i < g.numNodes(); ++i)
-                    for (const IoSpan &s : m.nodeSpans[i]) {
-                        const auto it = m.hostToBuf.find(s.buffer);
-                        if (it != m.hostToBuf.end() &&
-                            it->second == victim->id &&
-                            seen.insert(s.data).second)
-                            vspans.push_back(s);
-                    }
-                const std::string tag =
-                    std::to_string(out.spills);
-                out.staging.push_back(
-                    std::make_unique<std::vector<uint8_t>>());
-                auto spill = std::make_unique<MemCopyKernel>(
-                    "spill" + tag, MemCopyKernel::Dir::Spill,
-                    victim->host, vspans, *out.staging.back());
-                auto reload = std::make_unique<MemCopyKernel>(
-                    "reload" + tag, MemCopyKernel::Dir::Reload,
-                    victim->host, vspans, *out.staging.back());
-                // Insert back-to-front so the earlier index stays
-                // valid: reload right before the next accessor,
-                // spill right after the previous one.
-                sched.insert(sched.begin() +
-                                 static_cast<ptrdiff_t>(next),
-                             reload.get());
-                sched.insert(sched.begin() +
-                                 static_cast<ptrdiff_t>(prev + 1),
-                             spill.get());
-                out.copies.push_back(std::move(spill));
-                out.copies.push_back(std::move(reload));
-                ++out.spills;
-                continue;
-            }
-        }
-        out.graph = std::move(g);
-        out.plan = std::move(plan);
-        return out;
-    }
 }
 
 } // namespace gsuite

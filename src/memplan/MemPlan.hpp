@@ -1,63 +1,40 @@
 /**
  * @file
- * Graph-wide memory planning over the op-graph IR.
+ * Graph-wide memory accounting over the op-graph IR.
  *
- * DeviceAllocator assigns addresses in execution order, which pins
- * the schedule: reordering functional execution would silently change
- * every cache statistic. MemPlan removes that coupling. It consumes
- * the sized span declarations (Kernel::ioSpans()) of an OpGraph and
- * derives, from graph structure alone:
+ * DeviceAllocator assigns addresses in execution order and never
+ * frees, so the footprint it reports is the naive bump total. MemPlan
+ * consumes the sized span declarations (Kernel::ioSpans()) of an
+ * OpGraph and derives, from graph structure alone:
  *
  *  - buffer lifetimes (first-writer → last-accessor, happens-before
  *    precise under any dependency-respecting execution order),
- *  - a deterministic address layout: the canonical layout is the
- *    naive one (spans replayed in schedule order), which bindAllocator()
- *    pre-installs and freezes so addresses no longer depend on when
- *    kernels actually run — unlocking level-parallel functional
- *    execution with bit-identical simulation statistics,
- *  - a best-fit lifetime-reuse accounting model: peakBytes() is the
- *    exact footprint a lifetime-aware allocator would need, always
- *    <= the naive bump total (naiveBytes()),
- *  - budget-constrained scheduling: merged graphs are packed into
- *    waves of parts whose combined planned peak fits the budget;
- *    single pipelines can be transformed by spillToBudget(), which
- *    inserts spill/reload copy nodes until the plan fits.
+ *  - a best-fit lifetime-reuse layout: one window per buffer with an
+ *    arena offset; peakBytes() is the exact footprint a
+ *    lifetime-aware allocator would need, always <= the naive bump
+ *    total (naiveBytes()),
+ *  - per-node high-water curves for both layouts (the engines stamp
+ *    the naive one into KernelStats::deviceBytesPeak).
  *
- * Everything here is a pure function of the graph: two builds over
- * the same graph (from any thread, at any -j) produce bit-identical
- * plans.
+ * Execution always uses the naive on-demand layout; the plan is
+ * accounting. Everything here is a pure function of the graph: two
+ * builds over the same graph produce bit-identical plans.
  */
 
 #ifndef GSUITE_MEMPLAN_MEMPLAN_HPP
 #define GSUITE_MEMPLAN_MEMPLAN_HPP
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "ir/OpGraph.hpp"
 #include "kernels/Kernel.hpp"
-#include "simgpu/DeviceAllocator.hpp"
 
 namespace gsuite {
 
 /**
- * Lifetime model used for region reuse.
- *
- * Concurrent (default): buffer B may take buffer A's region only if
- * every accessor of A is a strict dependency ancestor of B's first
- * writer — safe under ANY dependency-respecting execution order,
- * including level-parallel. Serial: schedule-interval overlap — safe
- * only for strictly in-order execution; used by the spill planner,
- * whose spill/reload nodes split lifetimes at schedule points.
- */
-enum class LifetimeModel { Concurrent, Serial };
-
-/**
- * One placed lifetime window of a buffer. A buffer normally has one
- * window spanning its first to last accessor; spill/reload copy nodes
- * split it (the spilled gap is not live on device).
+ * The placed lifetime window of one buffer: its first to last
+ * accessor in schedule order.
  */
 struct PlannedWindow {
     BufferId id = kNoBuffer;
@@ -76,26 +53,17 @@ struct PlannedWindow {
 class MemPlan
 {
   public:
-    struct Options {
-        /** 0 = unlimited. */
-        uint64_t budgetBytes = 0;
-        LifetimeModel lifetime = LifetimeModel::Concurrent;
-    };
-
     /**
      * Analyze @p graph and build the plan. Kernels' ioSpans() must be
      * valid, i.e. the graph must have been functionally executed at
      * least once (span sizes can be data-dependent). A graph with any
      * node that declares no spans (barriers, external kernels) yields
-     * a coverage-less plan: accounting fields are zero and
-     * bindAllocator() must not be called (fullSpanCoverage() gates).
+     * a coverage-less plan: peaks and high water are zero, windows
+     * and the naive curve empty (fullSpanCoverage() tells).
      */
-    static MemPlan build(const OpGraph &graph,
-                         const Options &opts);
-    /** Unbudgeted, Concurrent-lifetime build. */
     static MemPlan build(const OpGraph &graph);
 
-    /** Planned peak footprint: max over waves of live placed bytes. */
+    /** Planned peak footprint: the top of the placed arena. */
     uint64_t peakBytes() const { return peak; }
 
     /**
@@ -124,9 +92,9 @@ class MemPlan
     /**
      * Per-node naive high water: the bump allocator's bytesPeak()
      * right after node i's launch maps its spans (within the node's
-     * part). A pure function of the canonical replay, so it is
-     * identical across runs, warm allocators and placement modes —
-     * the engines stamp it into KernelStats::deviceBytesPeak.
+     * part). A pure function of the schedule-order replay, so it is
+     * identical across runs and warm allocators — the engines stamp
+     * it into KernelStats::deviceBytesPeak.
      */
     const std::vector<uint64_t> &nodeNaiveHighWater() const
     {
@@ -138,36 +106,13 @@ class MemPlan
         return windowList;
     }
 
-    /** True if every node declared spans (plan is actionable). */
+    /** True if every node declared spans (the plan has numbers). */
     bool fullSpanCoverage() const { return coverage; }
-
-    uint64_t budgetBytes() const { return budget; }
-    /** True when unbudgeted or peakBytes() <= budget. */
-    bool fitsBudget() const { return fits; }
-
-    /**
-     * Budgeted merged graphs: parts are packed into sequential waves
-     * so that sharedArenaBytes() plus each wave's part peaks fits the
-     * budget. 1 wave = fully concurrent (unsliced).
-     */
-    size_t numWaves() const { return waves; }
-    int waveOf(size_t part) const;
-
-    /**
-     * Pre-map every span of @p part into @p alloc in the canonical
-     * (naive schedule) order and freeze it. After this, makeLaunch()
-     * address layouts are a pure function of the graph — independent
-     * of functional execution order — and bit-identical to a naive
-     * in-order run on the same allocator (map() is idempotent, so a
-     * warm allocator keeps its existing layout). Requires
-     * fullSpanCoverage().
-     */
-    void bindAllocator(DeviceAllocator &alloc, size_t part = 0) const;
 
     /**
      * Check the plan's safety invariant — two windows whose planned
-     * regions overlap must have provably disjoint lifetimes under the
-     * plan's model (or live in different budget waves) — and that the
+     * regions overlap must belong to the same part (or the shared
+     * arena) and have provably disjoint lifetimes — and that the
      * planned peak never exceeds the naive total. panic()s on
      * violation. Cheap enough for tests and the fuzzer; O(W^2).
      */
@@ -177,81 +122,12 @@ class MemPlan
     uint64_t peak = 0;
     uint64_t naiveTotal = 0;
     uint64_t sharedArena = 0;
-    uint64_t budget = 0;
-    bool fits = true;
     bool coverage = false;
-    size_t waves = 1;
-    LifetimeModel model = LifetimeModel::Concurrent;
     std::vector<PlannedWindow> windowList;
     std::vector<uint64_t> highWater;
     std::vector<uint64_t> naiveHW;
     std::vector<uint64_t> partPeaks; ///< per part private-arena peak
-    std::vector<int> partWave;       ///< wave index per part
-    /** Canonical replay order: (node, span) per part. */
-    std::vector<std::vector<IoSpan>> partReplay;
 };
-
-/**
- * A device-to-host copy node the spill planner inserts. Spill copies
- * a buffer's device spans out to host staging (freeing its region for
- * the gap); Reload copies them back before the next accessor. The
- * functional semantics round-trip bit-exactly (staging holds the raw
- * bytes); the timing face is a streaming copy over the buffer's
- * spans.
- */
-class MemCopyKernel : public Kernel
-{
-  public:
-    enum class Dir { Spill, Reload };
-
-    MemCopyKernel(std::string label, Dir dir, const void *bufferKey,
-                  std::vector<IoSpan> spans,
-                  std::vector<uint8_t> &staging);
-
-    std::string name() const override { return label; }
-    KernelClass kind() const override { return KernelClass::Aux; }
-    void execute() override;
-    KernelLaunch makeLaunch(DeviceAllocator &alloc) const override;
-    KernelIo io() const override;
-    std::vector<IoSpan> ioSpans() const override { return spans; }
-
-    Dir direction() const { return dir; }
-    const void *bufferKey() const { return bufKey; }
-
-  private:
-    std::string label;
-    Dir dir;
-    const void *bufKey;
-    std::vector<IoSpan> spans;
-    std::vector<uint8_t> &staging;
-};
-
-/**
- * Result of spillToBudget(): a rebuilt graph (same kernels, spill /
- * reload copies interleaved), the owning storage for those copies,
- * and the final Serial-model plan. graph references kernels owned
- * both by the original pipeline and by this struct — keep both alive.
- */
-struct SpilledGraph {
-    OpGraph graph;
-    std::vector<std::unique_ptr<MemCopyKernel>> copies;
-    std::vector<std::unique_ptr<std::vector<uint8_t>>> staging;
-    MemPlan plan;
-    size_t spills = 0; ///< spill/reload pairs inserted
-};
-
-/**
- * Transform a single-part graph to fit @p budgetBytes by inserting
- * spill/reload pairs: at the planned peak, the largest non-input
- * buffer with an accessor gap spanning the peak is staged out to host
- * for the gap. Iterates until the Serial-model plan fits or no
- * further victim exists (then plan.fitsBudget() is false). The
- * returned graph re-validate()s; functional execution is bit-exact
- * with the original. The Serial lifetime model means the result must
- * be executed strictly in schedule order (naive engine mode).
- */
-SpilledGraph spillToBudget(const OpGraph &graph,
-                           uint64_t budgetBytes);
 
 } // namespace gsuite
 

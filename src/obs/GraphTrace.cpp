@@ -206,7 +206,7 @@ emitGraphTrace(TraceSink &sink, const OpGraph &graph,
         }
     }
 
-    // --- memplan: high-water curves + spill/reload copy spans ------
+    // --- memplan: planned and naive high-water curves --------------
     if (sink.enabled(TraceMemPlan) && plan.fullSpanCoverage()) {
         const int hwTrack = sink.addTrack("memplan", "high-water");
         // High-water is a per-node curve; emit it in time order
@@ -231,25 +231,6 @@ emitGraphTrace(TraceSink &sink, const OpGraph &graph,
                     ",\"naive_bytes\":" +
                     std::to_string(
                         plan.nodeNaiveHighWater()[e->node]));
-        // Copies go on per-lane tracks: lanes run concurrently, and
-        // spans on one track must nest or be disjoint.
-        std::vector<int> copyTrack(static_cast<size_t>(lanes), -1);
-        for (const LaneScheduleEntry &e : sched) {
-            const auto *copy = dynamic_cast<const MemCopyKernel *>(
-                graph.node(e.node).kernel);
-            if (!copy)
-                continue;
-            int &track = copyTrack[static_cast<size_t>(e.lane)];
-            if (track < 0)
-                track = sink.addTrack(
-                    "memplan",
-                    "copies lane " + std::to_string(e.lane));
-            const bool spill =
-                copy->direction() == MemCopyKernel::Dir::Spill;
-            sink.span(track, e.start, e.finish - e.start,
-                      spill ? "spill" : "reload",
-                      "\"node\":" + std::to_string(e.node));
-        }
     }
 }
 

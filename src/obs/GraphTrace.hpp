@@ -3,8 +3,8 @@
  * Engine-side trace emission: turns one ExecutionEngine::run(OpGraph&)
  * call into Chrome-trace tracks — per-lane node spans (the engine
  * component), sampled warp-scheduler counters of the trace sampling
- * core (the sm component), and memory high-water curves plus
- * spill/reload copy spans (the memplan component).
+ * core (the sm component), and the planned and naive memory
+ * high-water curves (the memplan component).
  *
  * The span placement replays exactly the deterministic list schedule
  * of OpGraph::finishTimes (same best-fit lane rule, with ties broken

@@ -253,74 +253,55 @@ appendMeta(std::string &out, bool &first, const char *kind,
 std::string
 TraceSink::toChromeJson() const
 {
-    return mergedChromeJson({this});
-}
-
-std::string
-TraceSink::mergedChromeJson(
-    const std::vector<const TraceSink *> &sinks)
-{
     std::string out = "{\"traceEvents\":[\n";
     bool first = true;
-    int nextPid = 1;
-    int nextTid = 1;
-    uint64_t events = 0, spans = 0, counters = 0, dropped = 0;
-    for (const TraceSink *sink : sinks) {
-        if (!sink)
-            continue;
-        events += sink->eventCount();
-        spans += sink->spanCount();
-        counters += sink->counterCount();
-        dropped += sink->droppedEvents();
-        // pid per unique process name, first-seen track order.
-        std::vector<std::string> processes;
-        std::vector<int> pidOf(sink->tracks.size(), 0);
-        for (size_t i = 0; i < sink->tracks.size(); ++i) {
-            const std::string &proc = sink->tracks[i]->process;
-            size_t at = processes.size();
-            for (size_t p = 0; p < processes.size(); ++p)
-                if (processes[p] == proc) {
-                    at = p;
-                    break;
-                }
-            if (at == processes.size()) {
-                processes.push_back(proc);
-                appendMeta(out, first, "process_name", proc,
-                           nextPid + static_cast<int>(at), 0);
+    // pid per unique process name (from 1, first-seen track order);
+    // tid per track (from 1, registration order).
+    std::vector<std::string> processes;
+    std::vector<int> pidOf(tracks.size(), 0);
+    for (size_t i = 0; i < tracks.size(); ++i) {
+        const std::string &proc = tracks[i]->process;
+        size_t at = processes.size();
+        for (size_t p = 0; p < processes.size(); ++p)
+            if (processes[p] == proc) {
+                at = p;
+                break;
             }
-            pidOf[i] = nextPid + static_cast<int>(at);
+        if (at == processes.size()) {
+            processes.push_back(proc);
+            appendMeta(out, first, "process_name", proc,
+                       1 + static_cast<int>(at), 0);
         }
-        for (size_t i = 0; i < sink->tracks.size(); ++i) {
-            const Track &t = *sink->tracks[i];
-            const int tid = nextTid + static_cast<int>(i);
-            appendMeta(out, first, "thread_name", t.thread,
-                       pidOf[i], tid);
-            // Stable sort: equal timestamps keep append order, so
-            // the merged stream is a pure function of the recorded
-            // events, never of writer interleaving.
-            std::vector<const TraceEvent *> ordered;
-            ordered.reserve(t.events.size());
-            for (const TraceEvent &ev : t.events)
-                ordered.push_back(&ev);
-            std::stable_sort(ordered.begin(), ordered.end(),
-                             [](const TraceEvent *a,
-                                const TraceEvent *b) {
-                                 return a->ts < b->ts;
-                             });
-            for (const TraceEvent *ev : ordered)
-                appendEvent(out, first, *ev, pidOf[i], tid);
-        }
-        nextPid += static_cast<int>(processes.size());
-        nextTid += static_cast<int>(sink->tracks.size());
+        pidOf[i] = 1 + static_cast<int>(at);
+    }
+    for (size_t i = 0; i < tracks.size(); ++i) {
+        const Track &t = *tracks[i];
+        const int tid = 1 + static_cast<int>(i);
+        appendMeta(out, first, "thread_name", t.thread, pidOf[i],
+                   tid);
+        // Stable sort: equal timestamps keep append order, so the
+        // exported stream is a pure function of the recorded events,
+        // never of writer interleaving.
+        std::vector<const TraceEvent *> ordered;
+        ordered.reserve(t.events.size());
+        for (const TraceEvent &ev : t.events)
+            ordered.push_back(&ev);
+        std::stable_sort(ordered.begin(), ordered.end(),
+                         [](const TraceEvent *a, const TraceEvent *b) {
+                             return a->ts < b->ts;
+                         });
+        for (const TraceEvent *ev : ordered)
+            appendEvent(out, first, *ev, pidOf[i], tid);
     }
     out += "\n],\n";
     out += "\"displayTimeUnit\":\"ms\",\n";
     out += "\"otherData\":{";
     out += "\"clock\":\"simulated cycles (1 trace us = 1 cycle)\"";
-    out += ",\"obs_events\":" + std::to_string(events);
-    out += ",\"obs_spans\":" + std::to_string(spans);
-    out += ",\"obs_counters\":" + std::to_string(counters);
-    out += ",\"trace_dropped_events\":" + std::to_string(dropped);
+    out += ",\"obs_events\":" + std::to_string(eventCount());
+    out += ",\"obs_spans\":" + std::to_string(spanCount());
+    out += ",\"obs_counters\":" + std::to_string(counterCount());
+    out += ",\"trace_dropped_events\":" +
+           std::to_string(droppedEvents());
     out += "}}\n";
     return out;
 }
@@ -328,15 +309,7 @@ TraceSink::mergedChromeJson(
 void
 TraceSink::writeFile(const std::string &path) const
 {
-    writeMergedFile(path, {this});
-}
-
-void
-TraceSink::writeMergedFile(
-    const std::string &path,
-    const std::vector<const TraceSink *> &sinks)
-{
-    const std::string json = mergedChromeJson(sinks);
+    const std::string json = toChromeJson();
     FILE *f = std::fopen(path.c_str(), "wb");
     if (!f)
         fatal("cannot open trace output '%s'", path.c_str());

@@ -44,7 +44,7 @@ namespace gsuite {
 enum TraceComponent : unsigned {
     TraceEngine = 1u << 0,  ///< op-graph node spans per execution lane
     TraceSm = 1u << 1,      ///< sampled per-SM warp-scheduler state
-    TraceMemPlan = 1u << 2, ///< memory high-water + spill/reload spans
+    TraceMemPlan = 1u << 2, ///< planned/naive memory high-water
     TraceAllComponents = TraceEngine | TraceSm | TraceMemPlan,
 };
 
@@ -126,15 +126,8 @@ class TraceSink {
      */
     std::string toChromeJson() const;
 
-    /** Merge several sinks into one trace; sink i's process groups
-     *  are pid-offset so they stay distinct, in argument order. */
-    static std::string
-    mergedChromeJson(const std::vector<const TraceSink *> &sinks);
-
+    /** Write toChromeJson() to @p path; fatal() on I/O failure. */
     void writeFile(const std::string &path) const;
-    static void
-    writeMergedFile(const std::string &path,
-                    const std::vector<const TraceSink *> &sinks);
 
   private:
     struct Track {

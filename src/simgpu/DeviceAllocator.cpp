@@ -1,7 +1,5 @@
 #include "simgpu/DeviceAllocator.hpp"
 
-#include <algorithm>
-
 #include "util/Logging.hpp"
 
 namespace gsuite {
@@ -12,13 +10,9 @@ DeviceAllocator::map(const void *host_ptr, uint64_t bytes)
     auto it = mappings.find(host_ptr);
     if (it != mappings.end())
         return it->second;
-    panicIf(frozen,
-            "map() of an undeclared span on a frozen allocator — a "
-            "kernel's ioSpans() does not cover its makeLaunch()");
     const uint64_t addr = cursor;
     const uint64_t padded = (bytes + kAlign - 1) / kAlign * kAlign;
     cursor += padded == 0 ? kAlign : padded;
-    peak = std::max(peak, cursor - kBase);
     mappings.emplace(host_ptr, addr);
     return addr;
 }
@@ -42,8 +36,6 @@ void
 DeviceAllocator::reset()
 {
     cursor = kBase;
-    peak = 0;
-    frozen = false;
     mappings.clear();
 }
 

@@ -35,31 +35,13 @@ class DeviceAllocator
     /** True if the pointer is registered. */
     bool isMapped(const void *host_ptr) const;
 
-    /** Total bytes allocated so far. */
-    uint64_t bytesAllocated() const { return cursor - kBase; }
-
     /**
-     * High-water mark of bytesAllocated(). A bump allocator never
-     * frees, so today this equals bytesAllocated() — it is tracked
-     * separately so the measured naive peak survives any future
-     * free/reuse semantics and so frozen plan-backed runs can report
-     * the peak the naive layout reached.
+     * Bytes the bump allocator has handed out since construction or
+     * reset(): every mapping's size, rounded up to 256 bytes (a
+     * 0-byte map takes one slot). Nothing is ever freed, so this is
+     * the high-water mark of the address space.
      */
-    uint64_t bytesPeak() const { return peak; }
-
-    /**
-     * Freeze the address layout: map() keeps returning existing
-     * mappings but fatal()s on an unknown pointer. The plan-backed
-     * placement mode (src/memplan) pre-maps every declared span in
-     * canonical schedule order and then freezes, so addresses no
-     * longer depend on execution order — and any span a kernel maps
-     * without declaring it in ioSpans() is caught loudly instead of
-     * silently perturbing the layout.
-     */
-    void freeze() { frozen = true; }
-    /** Re-enable on-demand mapping (end of a plan-backed run). */
-    void thaw() { frozen = false; }
-    bool isFrozen() const { return frozen; }
+    uint64_t bytesPeak() const { return cursor - kBase; }
 
     /** Forget all mappings (new pipeline run). */
     void reset();
@@ -69,8 +51,6 @@ class DeviceAllocator
     static constexpr uint64_t kAlign = 256;
 
     uint64_t cursor = kBase;
-    uint64_t peak = 0;
-    bool frozen = false;
     std::unordered_map<const void *, uint64_t> mappings;
 };
 

@@ -53,7 +53,7 @@ class BenchSession
         /**
          * Total worker budget, split over sweep lanes first: each
          * point's auto launch lanes and auto simThreads (profiler
-         * replay and mem-plan levels) get budget / lanes.
+         * replay) get budget / lanes.
          * 0 = auto: max(lanes, host lanes).
          */
         int threadBudget = 0;

@@ -22,9 +22,7 @@ AbstractionModule::makeEngine(const UserParams &params)
         opts.hwConfig.numSms = gpu.numSms;
         opts.hwConfig.smSampleFactor = gpu.smSampleFactor;
     }
-    auto engine = std::make_unique<FunctionalEngine>(opts);
-    engine->setMemPlanMode(params.memPlan, params.simThreads);
-    return engine;
+    return std::make_unique<FunctionalEngine>(opts);
 }
 
 std::unique_ptr<ExecutionEngine>
@@ -41,9 +39,7 @@ AbstractionModule::makeEngine(const UserParams &params,
     opts.sim.maxCtas = params.maxCtas;
     opts.sim.cycleCeiling = params.cycleCeiling;
     opts.parallelLaunches = params.simParallelLaunches;
-    auto engine = std::make_unique<SimEngine>(opts);
-    engine->setMemPlanMode(params.memPlan, params.simThreads);
-    return engine;
+    return std::make_unique<SimEngine>(opts);
 }
 
 Graph

@@ -93,7 +93,7 @@ UserParams::fromOptions(const OptionSet &opts)
         "config",     "dataset",   "model",       "comp",
         "framework",  "engine",    "layers",      "hidden",
         "outdim",     "gineps",    "runs",        "seed",
-        "batch",      "mem-plan",
+        "batch",
         "profile-caches", "node-div", "edge-div", "feature-cap",
         "csv",        "verbose",   "quiet",       "trace",
         "sim-threads", "sim-parallel", "sweep-threads",
@@ -150,7 +150,6 @@ UserParams::fromOptions(const OptionSet &opts)
     p.seed = static_cast<uint64_t>(opts.getInt("seed", 7));
     p.batch = static_cast<int>(opts.getInt("batch", p.batch));
     p.profileCaches = opts.getBool("profile-caches", false);
-    p.memPlan = opts.getBool("mem-plan", p.memPlan);
     p.simThreads =
         static_cast<int>(opts.getInt("sim-threads", p.simThreads));
     p.simParallelLaunches = static_cast<int>(

@@ -91,20 +91,10 @@ struct UserParams {
     bool profileCaches = false;
 
     /**
-     * Plan-backed placement (--mem-plan): run(OpGraph&) plans the
-     * device address layout from graph structure (src/memplan),
-     * executes levels concurrently in the functional phase, and
-     * reports planned/naive peak bytes. Off by default — naive
-     * execution-order placement stays the A/B oracle; statistics
-     * are bit-identical either way.
-     */
-    bool memPlan = false;
-
-    /**
-     * Worker threads for HwProfiler cache replay and mem-plan level
-     * execution (0 = auto; in a multi-lane BenchSession, the
-     * per-lane budget share). A simulated launch always runs on one
-     * thread. Statistics are bit-identical for every value.
+     * Worker threads for HwProfiler cache replay (0 = auto; in a
+     * multi-lane BenchSession, the per-lane budget share). A
+     * simulated launch always runs on one thread. Statistics are
+     * bit-identical for every value.
      */
     int simThreads = 0;
     /**

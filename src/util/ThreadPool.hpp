@@ -1,9 +1,9 @@
 /**
  * @file
  * A persistent worker pool for the embarrassingly parallel levels:
- * SimEngine launch lanes, BenchSession sweep lanes, HwProfiler replay
- * threads and mem-plan level execution. Workers stay alive across
- * invocations, so each job pays one condition-variable wakeup.
+ * SimEngine launch lanes, BenchSession sweep lanes and HwProfiler
+ * replay threads. Workers stay alive across invocations, so each job
+ * pays one condition-variable wakeup.
  */
 
 #ifndef GSUITE_UTIL_THREADPOOL_HPP

@@ -1,13 +1,12 @@
 /**
  * @file
  * Memory-planner tests: happens-before lifetime intervals and region
- * reuse on hand-built graphs, plan determinism across build calls and
- * execution thread counts, bit-identical simulation statistics between
- * naive and plan-backed placement on every pipeline (including the
- * GAT level-parallelism pin), budget wave-packing of merged batches,
- * spill/reload slicing under a single-pipeline budget, and the
- * merged-plan arithmetic (the shared arena plus per-replica part
- * peaks predict a larger batch's peak exactly).
+ * reuse on hand-built graphs, plan determinism across build calls,
+ * the ioSpans() contract checked against every pipeline's launches
+ * (declared spans are exactly what makeLaunch() maps, node by node),
+ * the merged-plan arithmetic (the shared arena plus per-replica part
+ * peaks predict a larger batch's peak exactly), and the empty plan of
+ * a graph with an opaque node.
  */
 
 #include <gtest/gtest.h>
@@ -72,35 +71,6 @@ tinySimOpts()
     opts.gpu = hwPresetByName("test-tiny").config;
     opts.sim.maxCtas = 64;
     return opts;
-}
-
-/**
- * Full bit-identity including the planned device high-water mark —
- * deviceBytesPeak is a pure function of the graph's canonical replay
- * and must not depend on placement mode or thread counts.
- */
-void
-expectStatsEqual(const KernelStats &a, const KernelStats &b,
-                 const std::string &what)
-{
-    EXPECT_EQ(a.name, b.name) << what;
-    EXPECT_EQ(a.cycles, b.cycles) << what;
-    EXPECT_EQ(a.warpInstrs, b.warpInstrs) << what;
-    EXPECT_EQ(a.threadInstrs, b.threadInstrs) << what;
-    EXPECT_EQ(a.l1Hits, b.l1Hits) << what;
-    EXPECT_EQ(a.l1Misses, b.l1Misses) << what;
-    EXPECT_EQ(a.l2Hits, b.l2Hits) << what;
-    EXPECT_EQ(a.l2Misses, b.l2Misses) << what;
-    EXPECT_EQ(a.memSectors, b.memSectors) << what;
-    EXPECT_EQ(a.dramBytes, b.dramBytes) << what;
-    for (size_t i = 0; i < a.stallCycles.size(); ++i)
-        EXPECT_EQ(a.stallCycles[i], b.stallCycles[i])
-            << what << " stall " << i;
-    for (size_t i = 0; i < a.occCycles.size(); ++i)
-        EXPECT_EQ(a.occCycles[i], b.occCycles[i])
-            << what << " occ " << i;
-    EXPECT_EQ(a.traceBytesPeak, b.traceBytesPeak) << what;
-    EXPECT_EQ(a.deviceBytesPeak, b.deviceBytesPeak) << what;
 }
 
 /**
@@ -222,18 +192,14 @@ TEST(MemPlanLifetime, ChainLifetimesAndRegionReuseAreExact)
     EXPECT_EQ(nhw[2], 4 * f);
 }
 
-// The plan is a pure function of the graph: repeated builds are
-// bit-identical, and plan-backed runs produce the same report and
-// functional output at every execution thread count. GAT is the
-// interesting pipeline: its attention halves sit on the same
-// dependency level, so the plan-backed run is genuinely parallel
-// (maxLevelWidth >= 2).
-TEST(MemPlanDeterminism, GatPlanIsStableAcrossThreadCounts)
+// The plan is a pure function of the graph: repeated builds over the
+// same GAT graph (the pipeline with the widest dependency levels) are
+// bit-identical.
+TEST(MemPlanDeterminism, GatPlanIsStableAcrossBuilds)
 {
     const Graph g = smallGraph();
     const ModelConfig cfg = cfgFor(GnnModelKind::Gat, CompModel::Mp);
 
-    // Reference: naive in-order run.
     GnnPipeline ref(g, cfg);
     FunctionalEngine refEngine;
     ref.run(refEngine);
@@ -254,33 +220,20 @@ TEST(MemPlanDeterminism, GatPlanIsStableAcrossThreadCounts)
     }
     EXPECT_LE(planA.peakBytes(), planA.naiveBytes());
     EXPECT_EQ(planA.naiveBytes(), naiveLaunchBytes(ref.opGraph()));
-
-    const DenseMatrix refOut = ref.output();
-    for (const int threads : {1, 2, 5}) {
-        GnnPipeline p(g, cfg);
-        FunctionalEngine engine;
-        engine.setMemPlanMode(true, threads);
-        p.run(engine);
-        const GraphRunReport &rep = engine.lastGraphReport();
-        EXPECT_TRUE(rep.planned) << threads;
-        EXPECT_GE(rep.maxLevelWidth, 2u) << threads;
-        EXPECT_EQ(rep.memPeakPlannedBytes, planA.peakBytes())
-            << threads;
-        EXPECT_EQ(rep.memPeakNaiveBytes, planA.naiveBytes())
-            << threads;
-        ASSERT_EQ(p.output().size(), refOut.size());
-        for (int64_t i = 0; i < refOut.rows(); ++i)
-            for (int64_t j = 0; j < refOut.cols(); ++j)
-                ASSERT_EQ(p.output().at(i, j), refOut.at(i, j))
-                    << threads << " @" << i << "," << j;
-    }
+    EXPECT_EQ(refEngine.lastGraphReport().memPeakPlannedBytes,
+              planA.peakBytes());
+    EXPECT_EQ(refEngine.lastGraphReport().memPeakNaiveBytes,
+              planA.naiveBytes());
 }
 
-// The acceptance pin: plan-backed placement must leave every
-// simulated statistic bit-identical to the naive in-order run on
-// every supported pipeline — the frozen canonical layout IS the naive
-// layout, so level-parallel execution cannot perturb addresses.
-TEST(MemPlanEquivalence, PlanBackedSimStatsBitIdenticalOnAllPipelines)
+// The ioSpans() contract, checked against the launches themselves:
+// on every pipeline, replaying node i's makeLaunch() on a fresh
+// allocator maps every span node i declares, and the allocator's
+// peak right after node i equals the planner's naive high water. A
+// span makeLaunch() maps without declaring it, or declares with the
+// wrong size, moves the peak off the plan. The sim engine stamps the
+// same figure into deviceBytesPeak.
+TEST(MemPlanSpans, LaunchesMapExactlyTheDeclaredSpansOnAllPipelines)
 {
     const Graph g = smallGraph();
     for (const auto &[model, comp] : allPipelines()) {
@@ -289,42 +242,29 @@ TEST(MemPlanEquivalence, PlanBackedSimStatsBitIdenticalOnAllPipelines)
             std::string(gnnModelName(model)) + "/" +
             compModelName(comp);
 
-        GnnPipeline naive(g, cfg);
-        SimEngine naiveEngine(tinySimOpts());
-        naive.run(naiveEngine);
-
-        GnnPipeline planned(g, cfg);
-        SimEngine::Options popts = tinySimOpts();
-        popts.parallelLaunches = 3; // deferred-simulation path
-        SimEngine planEngine(popts);
-        planEngine.setMemPlanMode(true, 3);
-        planned.run(planEngine);
-
-        EXPECT_FALSE(naiveEngine.lastGraphReport().planned) << what;
-        EXPECT_TRUE(planEngine.lastGraphReport().planned) << what;
-        EXPECT_LE(planEngine.lastGraphReport().memPeakPlannedBytes,
-                  planEngine.lastGraphReport().memPeakNaiveBytes)
-            << what;
-
-        const auto &a = naiveEngine.timeline();
-        const auto &b = planEngine.timeline();
-        ASSERT_EQ(a.size(), b.size()) << what;
-        for (size_t i = 0; i < a.size(); ++i) {
-            ASSERT_TRUE(a[i].hasSim) << what;
-            ASSERT_TRUE(b[i].hasSim) << what;
-            expectStatsEqual(a[i].sim, b[i].sim,
-                             what + "/" + a[i].name);
-        }
-
-        // The stamped device high-water is the canonical replay's
-        // cumulative footprint — cross-check against the plan.
-        const MemPlan plan = MemPlan::build(naive.opGraph());
-        plan.verify(naive.opGraph());
+        GnnPipeline p(g, cfg);
+        SimEngine engine(tinySimOpts());
+        p.run(engine);
+        const OpGraph &ops = p.opGraph();
+        const MemPlan plan = MemPlan::build(ops);
+        plan.verify(ops);
+        ASSERT_TRUE(plan.fullSpanCoverage()) << what;
         const std::vector<uint64_t> &nhw = plan.nodeNaiveHighWater();
-        ASSERT_EQ(nhw.size(), a.size()) << what;
-        for (size_t i = 0; i < a.size(); ++i)
-            EXPECT_EQ(a[i].sim.deviceBytesPeak, nhw[i])
-                << what << " node " << i;
+        const auto &timeline = engine.timeline();
+        ASSERT_EQ(nhw.size(), ops.numNodes()) << what;
+        ASSERT_EQ(timeline.size(), ops.numNodes()) << what;
+
+        DeviceAllocator da;
+        for (size_t i = 0; i < ops.numNodes(); ++i) {
+            const Kernel &k = *ops.node(i).kernel;
+            const std::string node = what + "/" + k.name();
+            k.makeLaunch(da);
+            for (const IoSpan &s : k.ioSpans())
+                EXPECT_TRUE(da.isMapped(s.data)) << node;
+            EXPECT_EQ(da.bytesPeak(), nhw[i]) << node;
+            ASSERT_TRUE(timeline[i].hasSim) << node;
+            EXPECT_EQ(timeline[i].sim.deviceBytesPeak, nhw[i]) << node;
+        }
         EXPECT_EQ(nhw.back(), plan.naiveBytes()) << what;
     }
 }
@@ -332,7 +272,7 @@ TEST(MemPlanEquivalence, PlanBackedSimStatsBitIdenticalOnAllPipelines)
 // Merged batches: shared read-only inputs land in a shared arena
 // placed once, each replica gets a private arena, and the planned
 // peak decomposes exactly — so a two-replica plan predicts the peak
-// of a batch of any size. Under a budget the parts pack into waves.
+// of a batch of any size.
 TEST(MemPlanMerge, MergedPeakIsSharedArenaPlusPartPeaks)
 {
     const Graph g = smallGraph();
@@ -357,7 +297,6 @@ TEST(MemPlanMerge, MergedPeakIsSharedArenaPlusPartPeaks)
                                     plan.partPeakBytes(0) +
                                     plan.partPeakBytes(1));
     EXPECT_LE(plan.peakBytes(), plan.naiveBytes());
-    EXPECT_EQ(plan.numWaves(), 1u);
 
     // The shared arena is placed once and each further replica adds
     // one part peak: the two-replica plan predicts three replicas.
@@ -370,108 +309,12 @@ TEST(MemPlanMerge, MergedPeakIsSharedArenaPlusPartPeaks)
     EXPECT_EQ(plan3.peakBytes(),
               plan.sharedArenaBytes() + 3 * plan.partPeakBytes(0));
 
-    // A budget below the two-replica peak but big enough for one
-    // replica forces two sequential waves, and the budgeted plan
-    // fits by construction.
-    const uint64_t budget =
-        plan.sharedArenaBytes() + plan.partPeakBytes(0) + 256;
-    ASSERT_LT(budget, plan.peakBytes());
-    MemPlan::Options opts;
-    opts.budgetBytes = budget;
-    const MemPlan sliced = MemPlan::build(merged, opts);
-    sliced.verify(merged);
-    EXPECT_TRUE(sliced.fitsBudget());
-    EXPECT_LE(sliced.peakBytes(), budget);
-    EXPECT_EQ(sliced.numWaves(), 2u);
-    EXPECT_EQ(sliced.waveOf(0), 0);
-    EXPECT_EQ(sliced.waveOf(1), 1);
-}
-
-// Budget slicing of a single pipeline: a large buffer idles across a
-// wide-footprint middle section; spillToBudget must evict it into
-// host staging for the gap, the rebuilt graph must still validate and
-// compute bit-identical results, and the final Serial-model plan must
-// fit the budget.
-TEST(MemPlanBudget, SpillToBudgetRoundTripsAndFits)
-{
-    const int64_t big = 256, med = 128;
-    DenseMatrix a(big, 64), b(big, 64), w(big, 64); // 64 KiB each
-    DenseMatrix s(med, 96), m1(med, 96), m2(med, 96),
-        m3(med, 96); // 48 KiB each
-    Rng rng(13);
-    a.fillUniform(rng, -1.0f, 1.0f);
-    s.fillUniform(rng, 0.5f, 1.5f);
-
-    ElementwiseKernel k0("mk-b", ElementwiseKernel::EwOp::Relu, a, b);
-    ElementwiseKernel k1("mk-m1", ElementwiseKernel::EwOp::Relu, s,
-                         m1);
-    ElementwiseKernel k2("mk-m2", ElementwiseKernel::EwOp::Mul, m1, s,
-                         m2);
-    ElementwiseKernel k3("mk-m3", ElementwiseKernel::EwOp::Mul, m2,
-                         m1, m3);
-    ElementwiseKernel k4("use-b", ElementwiseKernel::EwOp::Relu, b,
-                         w);
-
-    OpGraph g;
-    g.addNode(k0);
-    g.addNode(k1);
-    g.addNode(k2);
-    g.addNode(k3);
-    g.addNode(k4);
-    g.validate();
-
-    FunctionalEngine sizer;
-    sizer.run(g);
-    const DenseMatrix expected = w; // reference output
-
-    MemPlan::Options serial;
-    serial.lifetime = LifetimeModel::Serial;
-    const MemPlan unbudgeted = MemPlan::build(g, serial);
-    ASSERT_TRUE(unbudgeted.fullSpanCoverage());
-
-    // b (64 KiB) idles across the 144 KiB m-chain: spilling it must
-    // bring the peak under a budget no gap-free plan can meet.
-    const uint64_t budget = 200 * 1024;
-    ASSERT_GT(unbudgeted.peakBytes(), budget);
-
-    SpilledGraph out = spillToBudget(g, budget);
-    EXPECT_GE(out.spills, 1u);
-    out.graph.validate();
-    EXPECT_TRUE(out.plan.fitsBudget());
-    EXPECT_LE(out.plan.peakBytes(), budget);
-    EXPECT_EQ(out.graph.numNodes(),
-              g.numNodes() + 2 * out.spills);
-    out.plan.verify(out.graph);
-
-    // The spilled buffer's lifetime is split into multiple windows.
-    size_t bWindows = 0;
-    for (const PlannedWindow &win : out.plan.windows())
-        if (win.host == static_cast<const void *>(&b))
-            ++bWindows;
-    EXPECT_GE(bWindows, 2u);
-
-    // Functional round trip: the reload restores b bit-exactly, so
-    // the final output matches the un-spilled reference.
-    w.setZero();
-    FunctionalEngine rerun;
-    rerun.run(out.graph);
-    for (int64_t i = 0; i < expected.rows(); ++i)
-        for (int64_t j = 0; j < expected.cols(); ++j)
-            ASSERT_EQ(w.at(i, j), expected.at(i, j))
-                << i << "," << j;
-
-    // The copy nodes carry a real timing face: simulate the spilled
-    // graph end to end.
-    SimEngine sim(tinySimOpts());
-    sim.run(out.graph);
-    for (const KernelRecord &rec : sim.timeline())
-        EXPECT_TRUE(rec.hasSim) << rec.name;
 }
 
 // Graphs containing span-less nodes (external kernels, barriers)
-// cannot be planned; mem-plan mode must fall back to naive placement
-// and report it instead of mis-planning around the opaque node.
-TEST(MemPlanFallback, OpaqueNodesFallBackToNaivePlacement)
+// cannot be planned: the graph still runs, and reports no plan
+// instead of mis-planning around the opaque node.
+TEST(MemPlanFallback, OpaqueNodeGraphReportsNoPlan)
 {
     DenseMatrix a(32, 8), b(32, 8), c(32, 8);
     Rng rng(3);
@@ -487,10 +330,8 @@ TEST(MemPlanFallback, OpaqueNodesFallBackToNaivePlacement)
     g.validate();
 
     FunctionalEngine engine;
-    engine.setMemPlanMode(true, 2);
     engine.run(g);
     const GraphRunReport &rep = engine.lastGraphReport();
-    EXPECT_FALSE(rep.planned);
     EXPECT_EQ(rep.memPeakPlannedBytes, 0u);
     EXPECT_EQ(rep.memPeakNaiveBytes, 0u);
     EXPECT_EQ(engine.timeline().size(), 3u);
@@ -498,5 +339,5 @@ TEST(MemPlanFallback, OpaqueNodesFallBackToNaivePlacement)
     const MemPlan plan = MemPlan::build(g);
     EXPECT_FALSE(plan.fullSpanCoverage());
     EXPECT_EQ(plan.peakBytes(), 0u);
-    EXPECT_TRUE(plan.fitsBudget());
+    EXPECT_EQ(plan.naiveBytes(), 0u);
 }
