@@ -28,7 +28,7 @@ ExecutionEngine::runKernel(Kernel &kernel,
     rec.kind = kernel.kind();
 
     Timer t;
-    kernel.execute();
+    kernel.execute(&workers);
     rec.wallUs = t.elapsedUs();
 
     records.push_back(std::move(rec));
@@ -94,9 +94,7 @@ ExecutionEngine::run(const OpGraph &graph)
         }
 
     GraphRunReport report;
-    report.nodes = graph.numNodes();
     report.levels = graph.numLevels();
-    report.parts = graph.numParts();
     report.lanes = std::max(1, concurrentLaneCount());
     report.memPeakPlannedBytes = plan.peakBytes();
     report.memPeakNaiveBytes = plan.naiveBytes();
@@ -124,7 +122,11 @@ ExecutionEngine::run(const OpGraph &graph)
                        report.lanes);
 }
 
-FunctionalEngine::FunctionalEngine(Options opts) : opts(opts)
+FunctionalEngine::FunctionalEngine(Options opts)
+    : ExecutionEngine(opts.hwConfig.numThreads > 0
+                          ? opts.hwConfig.numThreads
+                          : ThreadPool::defaultLanes()),
+      opts(opts)
 {
 }
 
@@ -141,16 +143,11 @@ FunctionalEngine::measureKernel(size_t recordIndex, Kernel &kernel,
 }
 
 SimEngine::SimEngine(Options opts_in)
-    : opts(std::move(opts_in)), sim(opts.gpu)
+    : ExecutionEngine(opts_in.parallelLaunches > 0
+                          ? opts_in.parallelLaunches
+                          : std::min(4, ThreadPool::defaultLanes())),
+      opts(std::move(opts_in)), sim(opts.gpu)
 {
-}
-
-int
-SimEngine::effectiveParallel() const
-{
-    if (opts.parallelLaunches > 0)
-        return opts.parallelLaunches;
-    return std::min(4, ThreadPool::defaultLanes());
 }
 
 void
@@ -180,7 +177,7 @@ SimEngine::measureKernel(size_t recordIndex, Kernel &kernel,
     // with the plan-derived (warmth-independent) figure.
     const uint64_t devPeak = kernelAlloc.bytesPeak();
 
-    if (effectiveParallel() <= 1) {
+    if (workers.lanes() <= 1) {
         SimOptions run_opts = opts.sim;
         applySmSampling(run_opts);
         rec.sim = sim.run(launch, run_opts);
@@ -203,14 +200,9 @@ SimEngine::sync()
 {
     if (pending.empty())
         return;
-    const int lanes = static_cast<int>(
-        std::min<size_t>(static_cast<size_t>(effectiveParallel()),
-                         pending.size()));
-    if (!simPool || simPool->lanes() != lanes)
-        simPool = std::make_unique<ThreadPool>(lanes);
     // Lane 0 reuses the engine's own simulator; each extra lane owns
     // one more.
-    while (static_cast<int>(laneSims.size()) < lanes - 1)
+    while (static_cast<int>(laneSims.size()) < workers.lanes() - 1)
         laneSims.push_back(std::make_unique<GpuSimulator>(opts.gpu));
     SimOptions lane_opts = opts.sim;
     applySmSampling(lane_opts);
@@ -218,7 +210,7 @@ SimEngine::sync()
     // and rethrow the lowest launch index on the calling thread so
     // the reported failure is independent of lane scheduling.
     std::vector<std::exception_ptr> errors(pending.size());
-    simPool->parallelFor(
+    workers.parallelFor(
         pending.size(), [&](size_t i, int lane) {
             GpuSimulator &lane_sim =
                 lane == 0 ? sim

@@ -7,6 +7,11 @@
  * additionally feeds every launch through the timing simulator (the
  * "GPGPU-Sim" path). Both record a per-kernel timeline that the
  * benches aggregate into the paper's figures.
+ *
+ * Each engine owns one worker pool. Every kernel executes on its
+ * lanes (Kernel::execute(workers), bit-identical for any lane count),
+ * and the sim engine's deferred launches simulate on the same lanes
+ * at sync(); the two never overlap in time.
  */
 
 #ifndef GSUITE_ENGINE_EXECUTIONENGINE_HPP
@@ -49,9 +54,7 @@ struct KernelRecord {
  * schedule, so they are themselves deterministic.
  */
 struct GraphRunReport {
-    size_t nodes = 0;
     size_t levels = 0; ///< dependency depth of the graph
-    size_t parts = 1;  ///< merged sub-pipelines (batch size)
     int lanes = 1;     ///< concurrent launch lanes modeled
 
     bool hasSim = false; ///< cycle fields valid (sim engine only)
@@ -138,9 +141,13 @@ class ExecutionEngine
     DeviceAllocator &allocator() { return alloc; }
 
   protected:
+    /** @param workerLanes Lanes of the engine's worker pool (>= 1). */
+    explicit ExecutionEngine(int workerLanes) : workers(workerLanes) {}
+
     /**
-     * Execute one kernel against an explicit device address space
-     * and append a record (functional execution + measurement).
+     * Execute one kernel on the engine's worker lanes against an
+     * explicit device address space and append a record (functional
+     * execution + measurement).
      * run(Kernel&) passes the engine's shared allocator;
      * run(OpGraph&) passes a per-part allocator for merged graphs so
      * each part's address layout matches a standalone run.
@@ -171,9 +178,19 @@ class ExecutionEngine
     DeviceAllocator alloc;
     GraphRunReport graphReport;
     TraceSink *trace = nullptr;
+    /**
+     * The engine's worker lanes: runKernel() hands them to every
+     * kernel; SimEngine::sync() simulates deferred launches on them.
+     */
+    ThreadPool workers;
 };
 
-/** Host-execution engine with optional hardware cache profiling. */
+/**
+ * Host-execution engine with optional hardware cache profiling. Its
+ * kernels run on hwConfig.numThreads worker lanes (0 = auto: the
+ * host's lanes), the profiler's own thread budget: profiler replay
+ * and kernel execution never overlap in time.
+ */
 class FunctionalEngine : public ExecutionEngine
 {
   public:
@@ -182,7 +199,7 @@ class FunctionalEngine : public ExecutionEngine
         HwProfilerConfig hwConfig;
     };
 
-    FunctionalEngine() = default;
+    FunctionalEngine() : FunctionalEngine(Options{}) {}
     explicit FunctionalEngine(Options opts);
 
   protected:
@@ -208,7 +225,9 @@ class SimEngine : public ExecutionEngine
          * own GpuSimulator instance. Launch timing is
          * independent of launch order (every launch starts from a
          * flushed device), so results are identical to serial
-         * simulation. 1 = inline/serial; 0 = auto.
+         * simulation. 1 = inline/serial; 0 = auto: min(4, host
+         * lanes). The same lanes execute the kernels, which finish
+         * before any deferred launch simulates.
          */
         int parallelLaunches = 1;
     };
@@ -221,10 +240,7 @@ class SimEngine : public ExecutionEngine
   protected:
     void measureKernel(size_t recordIndex, Kernel &kernel,
                        DeviceAllocator &kernelAlloc) override;
-    int concurrentLaneCount() const override
-    {
-        return effectiveParallel();
-    }
+    int concurrentLaneCount() const override { return workers.lanes(); }
 
   private:
     struct PendingSim {
@@ -236,10 +252,8 @@ class SimEngine : public ExecutionEngine
     Options opts;
     GpuSimulator sim;
     std::vector<PendingSim> pending;
-    std::unique_ptr<ThreadPool> simPool;
     std::vector<std::unique_ptr<GpuSimulator>> laneSims;
 
-    int effectiveParallel() const;
     /** Turn on SM warp-scheduler sampling when the attached sink
      *  selects the sm component. */
     void applySmSampling(SimOptions &runOpts) const;

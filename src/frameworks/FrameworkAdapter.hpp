@@ -36,8 +36,9 @@ struct FrameworkRunResult {
     double kernelUs = 0.0;   ///< raw (uninflated) kernel time
     std::vector<KernelRecord> timeline;
     /**
-     * Dependency/overlap summary of the executed op-graph (node and
-     * edge counts, and for sim engines the deterministic serial /
+     * Dependency/overlap summary of the executed op-graph (its
+     * dependency depth, modeled lanes and planned/naive memory
+     * peaks, and for sim engines the deterministic serial /
      * critical-path / lane-makespan cycle model). For batched runs
      * the graph is the merge over all replicas.
      */

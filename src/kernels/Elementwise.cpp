@@ -6,6 +6,7 @@
 
 #include "tensor/Ops.hpp"
 #include "util/Logging.hpp"
+#include "util/ThreadPool.hpp"
 
 namespace gsuite {
 
@@ -50,75 +51,63 @@ ElementwiseKernel::ElementwiseKernel(std::string label,
 }
 
 void
-ElementwiseKernel::execute()
+ElementwiseKernel::execute(ThreadPool *workers)
 {
+    // out[i] = fn(i) over every element, flat ranges split over the
+    // workers; the out-of-place forms size out without writing it.
+    const auto forEach = [&](auto &&fn) {
+        forEachRowRange(workers, inA.size(), 1,
+                        [&](int64_t b, int64_t e) {
+                            for (int64_t i = b; i < e; ++i)
+                                fn(i);
+                        });
+    };
+    const float *x = inA.data();
     switch (op) {
       case EwOp::Relu:
-        relu(inA, out);
-        break;
+        relu(inA, out, workers);
+        return;
       case EwOp::Sigmoid:
-        sigmoid(inA, out);
-        break;
+        sigmoid(inA, out, workers);
+        return;
       case EwOp::AddScaled:
-        addScaled(inA, *inB, alpha, beta, out);
-        break;
-      case EwOp::RowScale: {
-        if (&out != &inA)
-            out = inA;
-        scaleRows(out, *rowVec);
-        break;
-      }
-      case EwOp::LeakyRelu: {
-        if (&out != &inA)
-            out.resize(inA.rows(), inA.cols());
-        const int64_t total = inA.size();
-        const float *x = inA.data();
-        float *o = out.data();
-        for (int64_t i = 0; i < total; ++i)
-            o[i] = x[i] > 0.0f ? x[i] : alpha * x[i];
-        break;
-      }
-      case EwOp::Exp: {
-        if (&out != &inA)
-            out.resize(inA.rows(), inA.cols());
-        const int64_t total = inA.size();
-        const float *x = inA.data();
-        float *o = out.data();
-        for (int64_t i = 0; i < total; ++i)
-            o[i] = std::exp(x[i]);
-        break;
-      }
+        addScaled(inA, *inB, alpha, beta, out, workers);
+        return;
+      case EwOp::RowScale:
+        scaleRows(inA, *rowVec, out, workers);
+        return;
+      case EwOp::LeakyRelu:
+      case EwOp::Exp:
       case EwOp::Recip: {
         if (&out != &inA)
-            out.resize(inA.rows(), inA.cols());
-        const int64_t total = inA.size();
-        const float *x = inA.data();
+            out.resizeForOverwrite(inA.rows(), inA.cols());
         float *o = out.data();
-        for (int64_t i = 0; i < total; ++i)
-            o[i] = 1.0f / x[i];
-        break;
+        if (op == EwOp::LeakyRelu)
+            forEach([&](int64_t i) {
+                o[i] = x[i] > 0.0f ? x[i] : alpha * x[i];
+            });
+        else if (op == EwOp::Exp)
+            forEach([&](int64_t i) { o[i] = std::exp(x[i]); });
+        else
+            forEach([&](int64_t i) { o[i] = 1.0f / x[i]; });
+        return;
       }
       case EwOp::ReluGrad:
       case EwOp::Mul:
       case EwOp::Sub: {
         if (inA.rows() != inB->rows() || inA.cols() != inB->cols())
             fatal("binary elementwise shape mismatch");
-        out.resize(inA.rows(), inA.cols());
-        const int64_t total = inA.size();
-        const float *p = inA.data();
+        if (&out != &inA && &out != inB)
+            out.resizeForOverwrite(inA.rows(), inA.cols());
         const float *q = inB->data();
         float *o = out.data();
-        if (op == EwOp::ReluGrad) {
-            for (int64_t i = 0; i < total; ++i)
-                o[i] = q[i] > 0.0f ? p[i] : 0.0f;
-        } else if (op == EwOp::Mul) {
-            for (int64_t i = 0; i < total; ++i)
-                o[i] = p[i] * q[i];
-        } else {
-            for (int64_t i = 0; i < total; ++i)
-                o[i] = p[i] - q[i];
-        }
-        break;
+        if (op == EwOp::ReluGrad)
+            forEach([&](int64_t i) { o[i] = q[i] > 0.0f ? x[i] : 0.0f; });
+        else if (op == EwOp::Mul)
+            forEach([&](int64_t i) { o[i] = x[i] * q[i]; });
+        else
+            forEach([&](int64_t i) { o[i] = x[i] - q[i]; });
+        return;
       }
     }
 }

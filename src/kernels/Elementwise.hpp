@@ -63,7 +63,9 @@ class ElementwiseKernel : public Kernel
     {
         return KernelClass::Elementwise;
     }
-    void execute() override;
+    void execute() override { execute(nullptr); }
+    /** Workers split flat element ranges (RowScale: rows). */
+    void execute(ThreadPool *workers) override;
     KernelLaunch makeLaunch(DeviceAllocator &alloc) const override;
     std::vector<IoSpan> ioSpans() const override;
     KernelIo io() const override

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 
 #include "util/Logging.hpp"
+#include "util/ThreadPool.hpp"
 
 namespace gsuite {
 
@@ -16,19 +18,26 @@ IndexSelectKernel::IndexSelectKernel(std::string label,
 }
 
 void
-IndexSelectKernel::execute()
+IndexSelectKernel::execute(ThreadPool *workers)
 {
     const int64_t e = static_cast<int64_t>(index.size());
     const int64_t f = input.cols();
-    output.resize(e, f);
-    for (int64_t i = 0; i < e; ++i) {
-        const int64_t row = index[static_cast<size_t>(i)];
-        panicIf(row < 0 || row >= input.rows(),
-                "indexSelect row out of range");
-        const float *src = input.rowPtr(row);
-        float *dst = output.rowPtr(i);
-        std::copy(src, src + f, dst);
-    }
+    const int64_t n = input.rows();
+    output.resizeForOverwrite(e, f);
+    // Lanes only flag a bad row; the panic happens on the caller.
+    std::atomic<bool> outOfRange{false};
+    forEachRowRange(workers, e, f, [&](int64_t r0, int64_t r1) {
+        for (int64_t i = r0; i < r1; ++i) {
+            const int64_t row = index[static_cast<size_t>(i)];
+            if (row < 0 || row >= n) {
+                outOfRange.store(true, std::memory_order_relaxed);
+                continue;
+            }
+            const float *src = input.rowPtr(row);
+            std::copy(src, src + f, output.rowPtr(i));
+        }
+    });
+    panicIf(outOfRange.load(), "indexSelect row out of range");
 }
 
 KernelLaunch

@@ -7,7 +7,7 @@
  * The GPU mapping is one thread per output element, so warps see
  * coalesced index/output traffic but data-dependent, irregular input
  * rows — the access pattern the paper's locality observations hinge
- * on.
+ * on. Functional execution splits output rows over the workers.
  */
 
 #ifndef GSUITE_KERNELS_INDEXSELECT_HPP
@@ -40,7 +40,8 @@ class IndexSelectKernel : public Kernel
     {
         return KernelClass::IndexSelect;
     }
-    void execute() override;
+    void execute() override { execute(nullptr); }
+    void execute(ThreadPool *workers) override;
     KernelLaunch makeLaunch(DeviceAllocator &alloc) const override;
     std::vector<IoSpan> ioSpans() const override;
     KernelIo io() const override

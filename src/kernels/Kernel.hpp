@@ -5,7 +5,10 @@
  * Every kernel has two faces:
  *  - execute(): the functional (bit-accurate) semantics, run on the
  *    host CPU; this is what the correctness tests and the wall-clock
- *    profiler measure.
+ *    profiler measure. Engines pass their worker lanes
+ *    (execute(workers)), so the wall-clock profiler times the
+ *    parallel run; its outputs are bit-identical to the calling
+ *    thread alone for any worker count.
  *  - makeLaunch(): the timing face — a CUDA-style launch descriptor
  *    whose per-warp instruction traces (with real per-lane memory
  *    addresses derived from the operand data) feed the GPU simulator.
@@ -25,6 +28,8 @@
 #include "simgpu/KernelLaunch.hpp"
 
 namespace gsuite {
+
+class ThreadPool;
 
 /**
  * The buffers a kernel touches, by host identity. This is the
@@ -72,8 +77,25 @@ class Kernel
     /** Table II kernel class. */
     virtual KernelClass kind() const = 0;
 
-    /** Run the functional semantics on the host. */
+    /** Run the functional semantics on the calling thread alone. */
     virtual void execute() = 0;
+
+    /**
+     * Run the functional semantics on @p workers' lanes (nullptr: the
+     * calling thread alone). Row-parallel kernels give each lane
+     * disjoint output rows and compute every element with the same
+     * floating-point operations, in the same order, as execute(), so
+     * outputs are bit-identical for any lane count; each lane also
+     * makes the first write of a fresh output's rows it owns. The
+     * default ignores @p workers and calls execute(). The caller must
+     * not be running another job on @p workers.
+     */
+    virtual void
+    execute(ThreadPool *workers)
+    {
+        (void)workers;
+        execute();
+    }
 
     /**
      * Build the timing launch. Must be called after execute().

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 
 #include "util/Logging.hpp"
+#include "util/ThreadPool.hpp"
 
 namespace gsuite {
 
@@ -38,32 +40,42 @@ ScatterKernel::scaleOf(int64_t i) const
 }
 
 void
-ScatterKernel::execute()
+ScatterKernel::execute(ThreadPool *workers)
 {
     const int64_t e = static_cast<int64_t>(index.size());
     const int64_t f = messages.cols();
+    const int64_t n = output.rows();
     panicIf(messages.rows() != e, "scatter message/index mismatch");
     panicIf(output.cols() != f, "scatter output width mismatch");
     panicIf(edgeScale && static_cast<int64_t>(edgeScale->size()) != e,
             "scatter edge-scale length mismatch");
     panicIf(edgeScaleMat && edgeScaleMat->size() != e,
             "scatter edge-scale matrix size mismatch");
-    output.setZero();
-    for (int64_t i = 0; i < e; ++i) {
-        const int64_t row = index[static_cast<size_t>(i)];
-        panicIf(row < 0 || row >= output.rows(),
-                "scatter destination out of range");
-        const float scale = scaleOf(i);
-        const float *src = messages.rowPtr(i);
-        float *dst = output.rowPtr(row);
-        if (op == Reduce::Sum) {
-            for (int64_t c = 0; c < f; ++c)
-                dst[c] += src[c] * scale;
-        } else {
-            for (int64_t c = 0; c < f; ++c)
-                dst[c] = std::max(dst[c], src[c] * scale);
+    // Lanes only flag a bad destination; the panic happens on the
+    // caller.
+    std::atomic<bool> outOfRange{false};
+    forEachRowRange(workers, n, f, [&](int64_t r0, int64_t r1) {
+        std::fill(output.rowPtr(r0), output.rowPtr(r1), 0.0f);
+        for (int64_t i = 0; i < e; ++i) {
+            const int64_t row = index[static_cast<size_t>(i)];
+            if (row < r0 || row >= r1) {
+                if (row < 0 || row >= n)
+                    outOfRange.store(true, std::memory_order_relaxed);
+                continue;
+            }
+            const float scale = scaleOf(i);
+            const float *src = messages.rowPtr(i);
+            float *dst = output.rowPtr(row);
+            if (op == Reduce::Sum) {
+                for (int64_t c = 0; c < f; ++c)
+                    dst[c] += src[c] * scale;
+            } else {
+                for (int64_t c = 0; c < f; ++c)
+                    dst[c] = std::max(dst[c], src[c] * scale);
+            }
         }
-    }
+    });
+    panicIf(outOfRange.load(), "scatter destination out of range");
 }
 
 KernelLaunch

@@ -6,7 +6,10 @@
  * output[index[i]][c] (op)= messages[i][c] * edgeScale[i], one thread
  * per message element, using global atomics for the reduction — the
  * source of the synchronization pressure the paper observes for this
- * kernel.
+ * kernel. Functional execution gives each worker a range of
+ * destination rows; every worker walks the whole index and applies
+ * only its own destinations, so each row receives its messages in
+ * edge order for any worker count.
  */
 
 #ifndef GSUITE_KERNELS_SCATTER_HPP
@@ -58,7 +61,8 @@ class ScatterKernel : public Kernel
 
     std::string name() const override { return label; }
     KernelClass kind() const override { return KernelClass::Scatter; }
-    void execute() override;
+    void execute() override { execute(nullptr); }
+    void execute(ThreadPool *workers) override;
     KernelLaunch makeLaunch(DeviceAllocator &alloc) const override;
     std::vector<IoSpan> ioSpans() const override;
     KernelIo io() const override

@@ -17,10 +17,10 @@ SgemmKernel::SgemmKernel(std::string label, const DenseMatrix &a,
 }
 
 void
-SgemmKernel::execute()
+SgemmKernel::execute(ThreadPool *workers)
 {
     if (!transA && !transB) {
-        gemm(a, b, c);
+        gemm(a, b, c, 1.0f, 0.0f, workers);
         return;
     }
     const int64_t m = dimM();

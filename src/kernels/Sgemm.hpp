@@ -32,7 +32,9 @@ class SgemmKernel : public Kernel
 
     std::string name() const override { return label; }
     KernelClass kind() const override { return KernelClass::Sgemm; }
-    void execute() override;
+    void execute() override { execute(nullptr); }
+    /** Workers split C's rows; the transposed forms run serially. */
+    void execute(ThreadPool *workers) override;
     KernelLaunch makeLaunch(DeviceAllocator &alloc) const override;
     std::vector<IoSpan> ioSpans() const override;
     KernelIo io() const override { return {{&a, &b}, {&c}}; }

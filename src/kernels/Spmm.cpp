@@ -15,9 +15,9 @@ SpmmKernel::SpmmKernel(std::string label, const CsrMatrix &a,
 }
 
 void
-SpmmKernel::execute()
+SpmmKernel::execute(ThreadPool *workers)
 {
-    spmm(a, b, c);
+    spmm(a, b, c, workers);
 }
 
 KernelLaunch

@@ -28,7 +28,8 @@ class SpmmKernel : public Kernel
 
     std::string name() const override { return label; }
     KernelClass kind() const override { return KernelClass::SpMM; }
-    void execute() override;
+    void execute() override { execute(nullptr); }
+    void execute(ThreadPool *workers) override;
     KernelLaunch makeLaunch(DeviceAllocator &alloc) const override;
     std::vector<IoSpan> ioSpans() const override;
     KernelIo io() const override { return {{&a, &b}, {&c}}; }

@@ -51,7 +51,9 @@ struct HwProfilerConfig {
 
     /**
      * Worker threads replaying per-SM L1 slices (0 = auto,
-     * 1 = serial). Results are bit-identical for every value: each
+     * 1 = serial); FunctionalEngine also executes its kernels on
+     * this many lanes (0 = host lanes). Results are bit-identical
+     * for every value: each
      * modeled SM's L1 only ever sees its own CTAs' accesses in CTA
      * order, and the shared L2 is replayed afterwards in the global
      * CTA order the serial replay uses.

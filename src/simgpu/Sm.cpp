@@ -93,21 +93,11 @@ Sm::beginLaunch(const KernelLaunch *new_launch, KernelStats *new_stats,
     panicIf(warps_per_cta <= 0, "launch with zero warps per CTA");
     panicIf(warps_per_cta > cfg.maxWarpsPerSm,
             "CTA needs more warps than an SM supports");
-    maxResidentCtas = std::min(
+    freeCtaSlots = std::min(
         {cfg.maxCtasPerSm, cfg.maxWarpsPerSm / warps_per_cta,
          std::max(1, cfg.maxThreadsPerSm /
                          std::max(1, launch->dims.threadsPerCta))});
-    ctas.assign(static_cast<size_t>(maxResidentCtas), CtaCtx{});
-}
-
-bool
-Sm::hasFreeCtaSlot() const
-{
-    for (const auto &c : ctas) {
-        if (!c.active)
-            return true;
-    }
-    return false;
+    ctas.assign(static_cast<size_t>(freeCtaSlots), CtaCtx{});
 }
 
 void
@@ -121,6 +111,7 @@ Sm::assignCta(int64_t cta_id, uint64_t cycle)
         }
     }
     panicIf(!cta, "assignCta with no free CTA slot");
+    --freeCtaSlots;
 
     const int warps_per_cta = launch->dims.warpsPerCta();
     cta->active = true;
@@ -459,6 +450,7 @@ Sm::finishWarp(int slot, uint64_t cycle)
     --cta.liveWarps;
     if (cta.liveWarps == 0) {
         cta.active = false;
+        ++freeCtaSlots;
         if (sampleRecords)
             sampleRecords->push_back(
                 {cta.ctaId, cta.startCycle, cycle, cta.instrs});

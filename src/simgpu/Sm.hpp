@@ -90,7 +90,7 @@ class Sm
                          nullptr);
 
     /** True if another CTA can become resident. */
-    bool hasFreeCtaSlot() const;
+    bool hasFreeCtaSlot() const { return freeCtaSlots > 0; }
 
     /**
      * Make CTA @p cta_id resident. Cheap: warp trace streams are only
@@ -201,7 +201,7 @@ class Sm
     std::vector<int> rrCursor;       ///< LRR rotation pointer
     uint64_t lsuFree = 0;
     int residentWarps = 0;
-    int maxResidentCtas = 0;
+    int freeCtaSlots = 0; ///< inactive entries of ctas
     uint64_t ageCounter = 0;
 
     // --- SoA warp-issue state (fast path) ---------------------------

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "util/Logging.hpp"
+#include "util/ThreadPool.hpp"
 
 namespace gsuite {
 
@@ -60,26 +61,31 @@ spgemm(const CsrMatrix &a, const CsrMatrix &b)
 }
 
 void
-spmm(const CsrMatrix &a, const DenseMatrix &b, DenseMatrix &c)
+spmm(const CsrMatrix &a, const DenseMatrix &b, DenseMatrix &c,
+     ThreadPool *workers)
 {
     if (a.cols() != b.rows())
         fatal("spmm dimension mismatch: [%ld x %ld] x [%ld x %ld]",
               (long)a.rows(), (long)a.cols(), (long)b.rows(),
               (long)b.cols());
-    c.resize(a.rows(), b.cols());
+    c.resizeForOverwrite(a.rows(), b.cols());
     const int64_t f = b.cols();
-    for (int64_t i = 0; i < a.rows(); ++i) {
-        float *out = c.rowPtr(i);
-        for (int64_t ai = a.rowPtr[static_cast<size_t>(i)];
-             ai < a.rowPtr[static_cast<size_t>(i) + 1]; ++ai) {
-            const int64_t k = a.colIdx[static_cast<size_t>(ai)];
-            const float av =
-                a.vals.empty() ? 1.0f : a.vals[static_cast<size_t>(ai)];
-            const float *in = b.rowPtr(k);
-            for (int64_t j = 0; j < f; ++j)
-                out[j] += av * in[j];
+    forEachRowRange(workers, a.rows(), f, [&](int64_t r0, int64_t r1) {
+        for (int64_t i = r0; i < r1; ++i) {
+            float *out = c.rowPtr(i);
+            std::fill(out, out + f, 0.0f);
+            for (int64_t ai = a.rowPtr[static_cast<size_t>(i)];
+                 ai < a.rowPtr[static_cast<size_t>(i) + 1]; ++ai) {
+                const int64_t k = a.colIdx[static_cast<size_t>(ai)];
+                const float av = a.vals.empty()
+                                     ? 1.0f
+                                     : a.vals[static_cast<size_t>(ai)];
+                const float *in = b.rowPtr(k);
+                for (int64_t j = 0; j < f; ++j)
+                    out[j] += av * in[j];
+            }
         }
-    }
+    });
 }
 
 CsrMatrix

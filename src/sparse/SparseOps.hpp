@@ -12,6 +12,8 @@
 
 namespace gsuite {
 
+class ThreadPool;
+
 /**
  * Sparse x sparse general matrix multiply (SpGEMM): C = A x B with
  * CSR operands, row-by-row Gustavson algorithm with a dense
@@ -22,9 +24,12 @@ CsrMatrix spgemm(const CsrMatrix &a, const CsrMatrix &b);
 /**
  * Sparse x dense multiply (SpMM): C = A x B with CSR A and dense B —
  * the reduction step of the SpMM computational model. fatal() on
- * dimension mismatch.
+ * dimension mismatch. With @p workers, C's rows are split over its
+ * lanes; each row sums its nonzeros in CSR order, so C is
+ * bit-identical for any lane count.
  */
-void spmm(const CsrMatrix &a, const DenseMatrix &b, DenseMatrix &c);
+void spmm(const CsrMatrix &a, const DenseMatrix &b, DenseMatrix &c,
+          ThreadPool *workers = nullptr);
 
 /** CSR transpose. */
 CsrMatrix transpose(const CsrMatrix &a);

@@ -91,17 +91,21 @@ struct UserParams {
     bool profileCaches = false;
 
     /**
-     * Worker threads for HwProfiler cache replay (0 = auto; in a
-     * multi-lane BenchSession, the per-lane budget share). A
-     * simulated launch always runs on one thread. Statistics are
-     * bit-identical for every value.
+     * Worker threads for HwProfiler cache replay, and on the
+     * functional engine the lanes its kernels execute on (0 = auto:
+     * host lanes; in a multi-lane BenchSession, the per-lane budget
+     * share). Replay and kernel execution never overlap. A
+     * simulated launch always runs on one thread. Statistics and
+     * kernel outputs are bit-identical for every value.
      */
     int simThreads = 0;
     /**
      * Independent launches simulated concurrently by the sim engine
      * (1 = serial, 0 = auto: min(4, host lanes); in a multi-lane
-     * BenchSession, the per-lane budget share). Statistics are
-     * bit-identical for every value.
+     * BenchSession, the per-lane budget share). The same lanes
+     * execute the sim engine's kernels before its launches
+     * simulate. Statistics and kernel outputs are bit-identical for
+     * every value.
      */
     int simParallelLaunches = 1;
 

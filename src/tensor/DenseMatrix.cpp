@@ -46,6 +46,18 @@ DenseMatrix::resize(int64_t rows, int64_t cols)
     buf.assign(static_cast<size_t>(rows) * static_cast<size_t>(cols), 0.0f);
 }
 
+void
+DenseMatrix::resizeForOverwrite(int64_t rows, int64_t cols)
+{
+    if (rows < 0 || cols < 0)
+        panic("DenseMatrix with negative shape");
+    nRows = rows;
+    nCols = cols;
+    // Emptied first, so a reallocation copies no stale contents.
+    buf.clear();
+    buf.resize(static_cast<size_t>(rows) * static_cast<size_t>(cols));
+}
+
 double
 DenseMatrix::maxAbsDiff(const DenseMatrix &a, const DenseMatrix &b)
 {

@@ -5,7 +5,10 @@
  * This is the stand-in for the device tensors the paper's CUDA kernels
  * operate on. Storage is a contiguous std::vector<float> so kernel
  * trace generators can derive per-thread global-memory addresses from
- * the (virtual) base address of the buffer.
+ * the (virtual) base address of the buffer. Its allocator leaves
+ * elements uninitialized unless a value is given, so
+ * resizeForOverwrite() can leave a fresh output's first write (and
+ * page fault) to the worker lane that owns those rows.
  */
 
 #ifndef GSUITE_TENSOR_DENSEMATRIX_HPP
@@ -13,11 +16,41 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 namespace gsuite {
 
 class Rng;
+
+/**
+ * std::allocator whose value-less construct() default-initializes:
+ * a float made by std::vector::resize(n) is left unwritten.
+ */
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+    DefaultInitAllocator() = default;
+    template <typename U>
+    DefaultInitAllocator(const DefaultInitAllocator<U> &) noexcept
+    {
+    }
+
+    template <typename U>
+    void
+    construct(U *p) noexcept
+    {
+        ::new (static_cast<void *>(p)) U;
+    }
+
+    template <typename U, typename... Args>
+    void
+    construct(U *p, Args &&...args)
+    {
+        ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
+    }
+};
 
 /** Row-major dense matrix of float32, shape [rows x cols]. */
 class DenseMatrix
@@ -72,6 +105,14 @@ class DenseMatrix
     /** Resize to a new shape; contents become zero. */
     void resize(int64_t rows, int64_t cols);
 
+    /**
+     * Resize to a new shape without writing the storage: contents
+     * are unspecified until the caller writes every element, which
+     * it must do before any is read. Kernels use it so each worker
+     * lane makes the first write of the output rows it owns.
+     */
+    void resizeForOverwrite(int64_t rows, int64_t cols);
+
     /** Max |a - b| over all elements; fatal() on shape mismatch. */
     static double maxAbsDiff(const DenseMatrix &a, const DenseMatrix &b);
 
@@ -82,7 +123,7 @@ class DenseMatrix
   private:
     int64_t nRows = 0;
     int64_t nCols = 0;
-    std::vector<float> buf;
+    std::vector<float, DefaultInitAllocator<float>> buf;
 };
 
 } // namespace gsuite

@@ -91,6 +91,22 @@ ThreadPool::parallelFor(size_t n,
     });
 }
 
+void
+forEachRowRange(ThreadPool *pool, int64_t rows, int64_t rowCost,
+                const std::function<void(int64_t, int64_t)> &fn)
+{
+    const int64_t parts =
+        pool ? std::min<int64_t>(pool->lanes(), rows) : 1;
+    if (parts <= 1 || rows * rowCost < kParallelGrain) {
+        fn(0, rows);
+        return;
+    }
+    pool->parallelFor(static_cast<size_t>(parts), [&](size_t p, int) {
+        const int64_t i = static_cast<int64_t>(p);
+        fn(rows * i / parts, rows * (i + 1) / parts);
+    });
+}
+
 int
 ThreadPool::defaultLanes()
 {

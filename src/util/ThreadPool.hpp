@@ -1,9 +1,12 @@
 /**
  * @file
  * A persistent worker pool for the embarrassingly parallel levels:
- * SimEngine launch lanes, BenchSession sweep lanes and HwProfiler
- * replay threads. Workers stay alive across invocations, so each job
- * pays one condition-variable wakeup.
+ * an engine's worker lanes (SimEngine launch lanes, which also run
+ * its kernels' functional execution, and FunctionalEngine's kernel
+ * lanes), BenchSession sweep lanes and HwProfiler replay threads.
+ * Workers stay alive across invocations, so each job pays one
+ * condition-variable wakeup. forEachRowRange() splits a functional
+ * kernel's output rows over a pool's lanes.
  */
 
 #ifndef GSUITE_UTIL_THREADPOOL_HPP
@@ -65,6 +68,27 @@ class ThreadPool
      */
     void runOnAll(const std::function<void(int lane)> &fn);
 };
+
+/**
+ * Work below this many element operations runs on the calling
+ * thread: waking the pool would cost about as much as the work it
+ * splits.
+ */
+constexpr int64_t kParallelGrain = int64_t{1} << 16;
+
+/**
+ * Row-parallel loop: fn(begin, end) is called for disjoint contiguous
+ * ranges that together cover [0, rows), as many as @p pool has lanes
+ * (at most rows), each run on one lane. Runs fn(0, rows) on the
+ * calling thread when @p pool is null or has one lane, or when
+ * rows * rowCost (the element operations of one row: its output
+ * width, or for a GEMM row block its multiply-adds) is below
+ * kParallelGrain. fn must not throw: pool workers do not unwind.
+ * Not reentrant, like ThreadPool::parallelFor.
+ */
+void forEachRowRange(ThreadPool *pool, int64_t rows, int64_t rowCost,
+                     const std::function<void(int64_t begin,
+                                              int64_t end)> &fn);
 
 } // namespace gsuite
 

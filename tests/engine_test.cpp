@@ -1,11 +1,16 @@
 /**
  * @file
  * Tests for the execution engines and the hardware cache profiler:
- * timeline recording, simulator integration, and the Fig. 8
- * hardware-vs-simulator measurement paths.
+ * timeline recording, simulator integration, the Fig. 8
+ * hardware-vs-simulator measurement paths, and bit-identical outputs
+ * and statistics at every worker-lane count.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <memory>
 
 #include "engine/ExecutionEngine.hpp"
 #include "graph/Generators.hpp"
@@ -15,6 +20,7 @@
 #include "models/GnnModel.hpp"
 #include "profiler/HwProfiler.hpp"
 #include "util/Random.hpp"
+#include "util/ThreadPool.hpp"
 
 using namespace gsuite;
 
@@ -36,6 +42,50 @@ fastSimOptions()
     opts.gpu = GpuConfig::testTiny();
     opts.gpu.smSampleFactor = 1;
     return opts;
+}
+
+/**
+ * Bytes of every node's outputs after a run: the ioSpans() of the
+ * buffers its kernel writes, in span order.
+ */
+std::vector<std::vector<char>>
+nodeOutputs(const GnnPipeline &p)
+{
+    std::vector<std::vector<char>> out;
+    for (const OpNode &n : p.opGraph().nodes()) {
+        const KernelIo io = n.kernel->io();
+        std::vector<char> bytes;
+        for (const IoSpan &s : n.kernel->ioSpans()) {
+            if (std::find(io.writes.begin(), io.writes.end(),
+                          s.buffer) == io.writes.end())
+                continue;
+            const char *d = static_cast<const char *>(s.data);
+            bytes.insert(bytes.end(), d, d + s.bytes);
+        }
+        out.push_back(std::move(bytes));
+    }
+    return out;
+}
+
+/** A functional or sim engine on @p lanes worker lanes, profiling. */
+std::unique_ptr<ExecutionEngine>
+laneEngine(bool sim, int lanes)
+{
+    HwProfilerConfig hw;
+    hw.maxCtas = 64;
+    hw.numThreads = lanes;
+    if (!sim) {
+        FunctionalEngine::Options opts;
+        opts.profileCaches = true;
+        opts.hwConfig = hw;
+        return std::make_unique<FunctionalEngine>(opts);
+    }
+    SimEngine::Options opts = fastSimOptions();
+    opts.sim.maxCtas = 64;
+    opts.profileCaches = true;
+    opts.hwConfig = hw;
+    opts.parallelLaunches = lanes;
+    return std::make_unique<SimEngine>(opts);
 }
 
 } // namespace
@@ -110,6 +160,85 @@ TEST(SimEngineTest, SimAndFunctionalProduceSameOutput)
     GnnPipeline p2(g, cfg);
     p2.run(se);
     EXPECT_EQ(DenseMatrix::maxAbsDiff(p1.output(), p2.output()), 0.0);
+}
+
+TEST(EngineDeterminismTest, OutputsAndStatsBitIdenticalAtAnyLaneCount)
+{
+    // Big enough that every row-parallel kernel class splits its
+    // output over the lanes (nodes x width >= kParallelGrain), and
+    // wide enough input features that layer 0's sgemm has more than
+    // one 64-wide k block.
+    Rng rng(5);
+    Graph g = generateErdosRenyi(5000, 20000, rng);
+    fillFeatures(g, 96, rng);
+    ASSERT_GE(g.numNodes() * 16, kParallelGrain);
+    const std::pair<GnnModelKind, CompModel> pipelines[] = {
+        {GnnModelKind::Gcn, CompModel::Mp},
+        {GnnModelKind::Gcn, CompModel::Spmm},
+        {GnnModelKind::Gin, CompModel::Mp},
+        {GnnModelKind::Gin, CompModel::Spmm},
+        {GnnModelKind::Sage, CompModel::Mp},
+        {GnnModelKind::Sage, CompModel::Spmm},
+        {GnnModelKind::Gat, CompModel::Mp}};
+    for (const auto &[model, comp] : pipelines) {
+        ModelConfig cfg;
+        cfg.model = model;
+        cfg.comp = comp;
+        cfg.hidden = 16;
+        cfg.outDim = 16;
+        cfg.allowSpmmSage = true;
+        for (const bool sim : {false, true}) {
+            std::vector<std::vector<char>> baseOut;
+            std::vector<KernelRecord> baseRecs;
+            for (int lanes = 1; lanes <= 4; ++lanes) {
+                const std::string what =
+                    std::string(gnnModelName(model)) + "/" +
+                    compModelName(comp) + (sim ? " sim" : " func") +
+                    " lanes " + std::to_string(lanes);
+                const auto engine = laneEngine(sim, lanes);
+                GnnPipeline p(g, cfg);
+                p.run(*engine);
+                const auto outs = nodeOutputs(p);
+                const std::vector<KernelRecord> recs =
+                    engine->timeline();
+                if (lanes == 1) {
+                    baseOut = outs;
+                    baseRecs = recs;
+                    continue;
+                }
+                ASSERT_EQ(outs.size(), baseOut.size()) << what;
+                for (size_t i = 0; i < outs.size(); ++i) {
+                    ASSERT_EQ(outs[i].size(), baseOut[i].size())
+                        << what << " node " << i;
+                    EXPECT_TRUE(outs[i].empty() ||
+                                std::memcmp(outs[i].data(),
+                                            baseOut[i].data(),
+                                            outs[i].size()) == 0)
+                        << what << " node " << i;
+                }
+                ASSERT_EQ(recs.size(), baseRecs.size()) << what;
+                for (size_t i = 0; i < recs.size(); ++i) {
+                    const KernelRecord &a = recs[i];
+                    const KernelRecord &b = baseRecs[i];
+                    const std::string at = what + " " + a.name;
+                    EXPECT_EQ(a.name, b.name) << at;
+                    ASSERT_EQ(a.hasSim, sim) << at;
+                    ASSERT_EQ(b.hasSim, sim) << at;
+                    const StatSet sa = a.sim.toStatSet();
+                    const StatSet sb = b.sim.toStatSet();
+                    ASSERT_EQ(sa.names(), sb.names()) << at;
+                    for (const std::string &name : sa.names())
+                        EXPECT_EQ(sa.get(name), sb.get(name))
+                            << at << " " << name;
+                    ASSERT_TRUE(a.hasHw && b.hasHw) << at;
+                    EXPECT_EQ(a.hw.l1Hits, b.hw.l1Hits) << at;
+                    EXPECT_EQ(a.hw.l1Misses, b.hw.l1Misses) << at;
+                    EXPECT_EQ(a.hw.l2Hits, b.hw.l2Hits) << at;
+                    EXPECT_EQ(a.hw.l2Misses, b.hw.l2Misses) << at;
+                }
+            }
+        }
+    }
 }
 
 TEST(HwProfilerTest, StreamingKernelHasLowL1HitRate)

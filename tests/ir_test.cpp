@@ -367,7 +367,6 @@ TEST(OpGraphEngine, BatchedPerReplicaStatsBitIdenticalToUnbatched)
                 "part " + std::to_string(part) + " kernel " +
                     std::to_string(i));
         }
-    EXPECT_EQ(three.graph.parts, 3u);
     EXPECT_EQ(three.graph.serialCycles, 3 * one.graph.serialCycles);
 }
 
@@ -408,7 +407,6 @@ TEST(OpGraphEngine, FunctionalEngineRunsGraphsToo)
     p1.run(e1);
     EXPECT_EQ(e1.timeline().size(), p1.numKernels());
     EXPECT_FALSE(e1.lastGraphReport().hasSim);
-    EXPECT_EQ(e1.lastGraphReport().nodes, p1.numKernels());
 }
 
 TEST(OpGraphInterning, AliasedContainersShareOneBufferIdentity)

@@ -202,7 +202,7 @@ TEST(ScaleRows, PerRowFactors)
 {
     DenseMatrix m(2, 3);
     m.fill(1.0f);
-    scaleRows(m, {2.0f, 0.5f});
+    scaleRows(m, {2.0f, 0.5f}, m);
     EXPECT_EQ(m.at(0, 0), 2.0f);
     EXPECT_EQ(m.at(1, 2), 0.5f);
 }
