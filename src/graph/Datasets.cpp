@@ -87,8 +87,8 @@ loadDataset(DatasetId id, const DatasetScale &scale, uint64_t seed)
     const double rest = 1.0 - info.powerLawSkew;
     params.b = rest * 0.45;
     params.c = rest * 0.45;
-    // Very large graphs skip dedup: collisions are rare at that
-    // sparsity and the hash set would dominate generation time.
+    // Very large graphs skip dedup. The cutoff stays because moving
+    // it would change the full-scale graphs.
     params.dedup = edges < 20'000'000;
 
     Graph g = generateRmat(params, rng);

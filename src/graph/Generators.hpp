@@ -7,6 +7,12 @@
  * property that drives the paper's memory-irregularity observations.
  * An Erdos-Renyi generator is provided for tests and as an ablation
  * baseline with uniform degrees.
+ *
+ * Both generators give the same edges, in the same order, and leave
+ * their Rng in the same state as drawing one candidate edge at a time:
+ * a candidate is dropped if it is a self loop (unless allowed) or
+ * repeats an edge (when deduplicating), else appended, until the graph
+ * has its edges or 20 * edges + 1000 candidates were drawn.
  */
 
 #ifndef GSUITE_GRAPH_GENERATORS_HPP
@@ -38,11 +44,16 @@ struct RmatParams {
 /**
  * Generate an RMAT graph. The node id space is randomly permuted so
  * high-degree hubs are scattered through memory like in real datasets
- * rather than clustered at low ids.
+ * rather than clustered at low ids. A candidate takes one
+ * nextDouble() per level of its recursive descent.
  */
 Graph generateRmat(const RmatParams &params, Rng &rng);
 
-/** Generate a uniform random (Erdos-Renyi G(n, m)) graph. */
+/**
+ * Generate a uniform random (Erdos-Renyi G(n, m)) graph without self
+ * loops or repeated edges. A candidate is two nextBelow(nodes) draws,
+ * source first.
+ */
 Graph generateErdosRenyi(int64_t nodes, int64_t edges, Rng &rng);
 
 /**

@@ -1,8 +1,6 @@
 #include "graph/Graph.hpp"
 
-#include <algorithm>
 #include <cstdio>
-#include <numeric>
 
 #include "sparse/Convert.hpp"
 #include "util/Logging.hpp"
@@ -66,30 +64,6 @@ CsrMatrix
 Graph::adjacencyCsr() const
 {
     return cooToCsr(adjacencyCoo());
-}
-
-void
-Graph::dedupEdges()
-{
-    const size_t n = src.size();
-    std::vector<size_t> perm(n);
-    std::iota(perm.begin(), perm.end(), size_t{0});
-    std::sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
-        if (src[a] != src[b])
-            return src[a] < src[b];
-        return dst[a] < dst[b];
-    });
-    std::vector<int64_t> ns, nd;
-    ns.reserve(n);
-    nd.reserve(n);
-    for (size_t i : perm) {
-        if (!ns.empty() && ns.back() == src[i] && nd.back() == dst[i])
-            continue;
-        ns.push_back(src[i]);
-        nd.push_back(dst[i]);
-    }
-    src = std::move(ns);
-    dst = std::move(nd);
 }
 
 void

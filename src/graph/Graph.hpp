@@ -58,9 +58,6 @@ class Graph
     /** Adjacency as CSR with rows = dst, cols = src. */
     CsrMatrix adjacencyCsr() const;
 
-    /** Drop duplicate edges and self loops already present. */
-    void dedupEdges();
-
     /** Validate edge endpoints; panic() on violation. */
     void checkInvariants() const;
 

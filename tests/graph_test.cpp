@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <numeric>
+#include <unordered_set>
 
 #include "graph/Datasets.hpp"
 #include "graph/EdgeListIo.hpp"
@@ -33,6 +35,133 @@ triangleGraph()
     g.addEdge(2, 0);
     g.addEdge(0, 2);
     return g;
+}
+
+/**
+ * R-MAT one draw at a time: a branching descent on nextDouble() and a
+ * std::unordered_set of keys. generateRmat must give the same edges
+ * and leave the Rng in the same state.
+ */
+Graph
+rmatOneDrawAtATime(const RmatParams &params, Rng &rng)
+{
+    Graph g(params.nodes, 0);
+    std::vector<int64_t> perm(static_cast<size_t>(params.nodes));
+    std::iota(perm.begin(), perm.end(), int64_t{0});
+    rng.shuffle(perm);
+    std::unordered_set<uint64_t> seen;
+    const int64_t max_attempts = params.edges * 20 + 1000;
+    int64_t attempts = 0;
+    while (g.numEdges() < params.edges && attempts < max_attempts) {
+        ++attempts;
+        int64_t row_lo = 0, row_hi = params.nodes;
+        int64_t col_lo = 0, col_hi = params.nodes;
+        while (row_hi - row_lo > 1 || col_hi - col_lo > 1) {
+            const double r = rng.nextDouble();
+            const int64_t row_mid = (row_lo + row_hi) / 2;
+            const int64_t col_mid = (col_lo + col_hi) / 2;
+            bool top = true, left = true;
+            if (r < params.a) {
+                // top-left
+            } else if (r < params.a + params.b) {
+                left = false;
+            } else if (r < params.a + params.b + params.c) {
+                top = false;
+            } else {
+                top = false;
+                left = false;
+            }
+            if (row_hi - row_lo > 1)
+                (top ? row_hi : row_lo) = row_mid;
+            if (col_hi - col_lo > 1)
+                (left ? col_hi : col_lo) = col_mid;
+        }
+        if (!params.allowSelfLoops && row_lo == col_lo)
+            continue;
+        const int64_t u = perm[static_cast<size_t>(row_lo)];
+        const int64_t v = perm[static_cast<size_t>(col_lo)];
+        if (params.dedup &&
+            !seen.insert(static_cast<uint64_t>(u) *
+                             static_cast<uint64_t>(params.nodes) +
+                         static_cast<uint64_t>(v))
+                 .second)
+            continue;
+        g.addEdge(u, v);
+    }
+    return g;
+}
+
+/** Erdos-Renyi one draw at a time, as generateErdosRenyi must match. */
+Graph
+erdosRenyiOneDrawAtATime(int64_t nodes, int64_t edges, Rng &rng)
+{
+    Graph g(nodes, 0);
+    std::unordered_set<uint64_t> seen;
+    const int64_t max_attempts = edges * 20 + 1000;
+    int64_t attempts = 0;
+    while (g.numEdges() < edges && attempts < max_attempts) {
+        ++attempts;
+        const int64_t u = static_cast<int64_t>(
+            rng.nextBelow(static_cast<uint64_t>(nodes)));
+        const int64_t v = static_cast<int64_t>(
+            rng.nextBelow(static_cast<uint64_t>(nodes)));
+        if (u == v ||
+            !seen.insert(static_cast<uint64_t>(u) *
+                             static_cast<uint64_t>(nodes) +
+                         static_cast<uint64_t>(v))
+                 .second)
+            continue;
+        g.addEdge(u, v);
+    }
+    return g;
+}
+
+/**
+ * A seeded node count in [1, 5000], log-uniform so small graphs are
+ * common; every eighth is a power of two.
+ */
+int64_t
+pickNodes(Rng &pick, int set)
+{
+    if (set % 8 == 0)
+        return int64_t{1} << pick.nextBelow(13);
+    return std::lround(std::pow(5000.0, pick.nextDouble()));
+}
+
+/**
+ * A seeded edge count from 0 to 1.5x the node pairs, capped at 8,000:
+ * small graphs run past saturation and hit the attempt cap.
+ */
+int64_t
+pickEdges(Rng &pick, int64_t nodes)
+{
+    const double pairs = static_cast<double>(nodes) *
+                         static_cast<double>(nodes);
+    return std::min<int64_t>(
+        8000, static_cast<int64_t>(pick.nextDouble() * 1.5 * pairs));
+}
+
+/** FNV-1a over @p bytes bytes, continuing from @p h. */
+uint64_t
+fnv1a(uint64_t h, const void *data, size_t bytes)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    for (size_t i = 0; i < bytes; ++i) {
+        h ^= p[i];
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/** FNV-1a over a graph's src, dst and feature bytes, in that order. */
+uint64_t
+graphDigest(const Graph &g)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    h = fnv1a(h, g.src.data(), g.src.size() * sizeof(int64_t));
+    h = fnv1a(h, g.dst.data(), g.dst.size() * sizeof(int64_t));
+    return fnv1a(h, g.features.data(),
+                 static_cast<size_t>(g.features.size()) * sizeof(float));
 }
 
 } // namespace
@@ -60,17 +189,6 @@ TEST(Graph, AdjacencyOrientation)
     EXPECT_EQ(a.at(2, 1), 1.0f); // 1 -> 2
     EXPECT_EQ(a.at(0, 2), 1.0f); // 2 -> 0
     EXPECT_EQ(a.at(0, 1), 0.0f);
-}
-
-TEST(Graph, DedupEdges)
-{
-    Graph g(3, 1);
-    g.addEdge(0, 1);
-    g.addEdge(0, 1);
-    g.addEdge(1, 2);
-    g.dedupEdges();
-    EXPECT_EQ(g.numEdges(), 2);
-    g.checkInvariants();
 }
 
 TEST(Graph, SummaryMentionsCounts)
@@ -183,6 +301,60 @@ TEST(Generators, RmatIsSkewedVsErdosRenyi)
     EXPECT_GT(max_deg(rmat), 2 * max_deg(er));
 }
 
+TEST(Generators, RmatMatchesOneDrawAtATimeLoop)
+{
+    const double skews[] = {0.25, 0.57, 0.62, 0.9};
+    Rng pick(2024);
+    int saturated = 0;
+    testing::internal::CaptureStderr();
+    for (int set = 0; set < 300; ++set) {
+        RmatParams p;
+        p.nodes = pickNodes(pick, set);
+        p.edges = set % 25 == 0 ? 0 : pickEdges(pick, p.nodes);
+        p.a = skews[(set / 4) % 4];
+        p.b = (1.0 - p.a) * 0.45;
+        p.c = p.b;
+        p.dedup = set % 2 == 0;
+        p.allowSelfLoops = set / 2 % 2 == 0;
+        const uint64_t seed = pick.next();
+        Rng r1(seed), r2(seed);
+        const Graph want = rmatOneDrawAtATime(p, r1);
+        const Graph got = generateRmat(p, r2);
+        ASSERT_EQ(got.src, want.src) << "set " << set;
+        ASSERT_EQ(got.dst, want.dst) << "set " << set;
+        ASSERT_EQ(r2.next(), r1.next()) << "set " << set;
+        saturated += want.numEdges() < p.edges;
+    }
+    const std::string log = testing::internal::GetCapturedStderr();
+    // The attempt cap fires, and warns once for each graph it cuts.
+    EXPECT_GT(saturated, 30);
+    int warnings = 0;
+    for (size_t at = log.find("saturated"); at != std::string::npos;
+         at = log.find("saturated", at + 1))
+        ++warnings;
+    EXPECT_EQ(warnings, saturated);
+}
+
+TEST(Generators, ErdosRenyiMatchesOneDrawAtATimeLoop)
+{
+    Rng pick(2025);
+    int saturated = 0;
+    for (int set = 0; set < 300; ++set) {
+        const int64_t nodes = pickNodes(pick, set);
+        const int64_t edges =
+            set % 25 == 0 ? 0 : pickEdges(pick, nodes);
+        const uint64_t seed = pick.next();
+        Rng r1(seed), r2(seed);
+        const Graph want = erdosRenyiOneDrawAtATime(nodes, edges, r1);
+        const Graph got = generateErdosRenyi(nodes, edges, r2);
+        ASSERT_EQ(got.src, want.src) << "set " << set;
+        ASSERT_EQ(got.dst, want.dst) << "set " << set;
+        ASSERT_EQ(r2.next(), r1.next()) << "set " << set;
+        saturated += want.numEdges() < edges;
+    }
+    EXPECT_GT(saturated, 30);
+}
+
 TEST(Generators, FeaturesSparseForWideRows)
 {
     Rng rng(6);
@@ -261,6 +433,41 @@ TEST(Datasets, SeedChangesGraph)
     const Graph b =
         loadDataset(DatasetId::Cora, DatasetScale::full(), 2);
     EXPECT_NE(a.src, b.src);
+}
+
+TEST(Datasets, GeneratedGraphsMatchPinnedDigests)
+{
+    // The graphs of the host_perf workloads at seed 7: every dataset
+    // at sim scale (paper-grid), Reddit and LiveJournal at functional
+    // scale (hw-profile) and the web-sampled R-MAT spec. fillFeatures
+    // draws after the generator, so the feature bytes also pin the
+    // Rng state the generator leaves.
+    struct Pin {
+        DatasetId id;
+        bool sim;
+        uint64_t digest;
+    };
+    const Pin pins[] = {
+        {DatasetId::Cora, true, 0xe71788080d85c7c8ULL},
+        {DatasetId::CiteSeer, true, 0xd1cc6cb3c481e165ULL},
+        {DatasetId::PubMed, true, 0x2dfbd1471023b7dfULL},
+        {DatasetId::Reddit, true, 0x8d0695290893abc0ULL},
+        {DatasetId::LiveJournal, true, 0x385cdd79ef767b70ULL},
+        {DatasetId::Reddit, false, 0x386277d4def75f1fULL},
+        {DatasetId::LiveJournal, false, 0x132e84408ba7dce9ULL},
+    };
+    for (const Pin &pin : pins) {
+        const DatasetScale scale = pin.sim
+                                       ? defaultSimScale(pin.id)
+                                       : defaultFunctionalScale(pin.id);
+        const uint64_t digest = graphDigest(loadDataset(pin.id, scale, 7));
+        EXPECT_EQ(digest, pin.digest)
+            << datasetInfo(pin.id).name << " " << scale.describe()
+            << ": 0x" << std::hex << digest;
+    }
+    const uint64_t web = graphDigest(loadRmatDataset(
+        parseRmatSpec("rmat:scale=16,ef=8,seed=7"), DatasetScale::full()));
+    EXPECT_EQ(web, 0x751a44e9ed1cd856ULL) << "web-sampled: 0x" << std::hex << web;
 }
 
 TEST(Datasets, ScaleDescribe)
