@@ -130,25 +130,6 @@ cacheSizeKey(const char *key, const char *section,
 }
 
 KeyDef
-cacheBoolKey(const char *key, const char *section,
-             CacheGeometry GpuConfig::*cache,
-             bool CacheGeometry::*field)
-{
-    return {key, section,
-            [cache, field](const GpuConfig &c) {
-                return c.*cache.*field ? "true" : "false";
-            },
-            [key, cache, field](GpuConfig &c, const std::string &v,
-                                const std::string &origin) {
-                bool parsed;
-                if (!parseBool(v, parsed))
-                    fatal("%s: key '%s' expects a boolean, got '%s'",
-                          origin.c_str(), key, v.c_str());
-                c.*cache.*field = parsed;
-            }};
-}
-
-KeyDef
 mshrIntKey(const char *key, const char *section,
            MshrConfig GpuConfig::*mshr, int MshrConfig::*field)
 {
@@ -229,8 +210,6 @@ keySchema()
                               &GpuConfig::numSms));
         keys.push_back(intKey("core.sm_sample_factor", core,
                               &GpuConfig::smSampleFactor));
-        keys.push_back(intKey("core.warp_size", core,
-                              &GpuConfig::warpSize));
         keys.push_back(intKey("core.max_warps_per_sm", core,
                               &GpuConfig::maxWarpsPerSm));
         keys.push_back(intKey("core.max_threads_per_sm", core,
@@ -277,8 +256,6 @@ keySchema()
                               &GpuConfig::ifetchLatency));
 
         const char *mem = "memory system";
-        keys.push_back(intKey("mem.lsu_ports_per_sm", mem,
-                              &GpuConfig::lsuPortsPerSm));
         keys.push_back(intKey("mem.l1_latency", mem,
                               &GpuConfig::l1Latency));
         keys.push_back(intKey("mem.l2_latency", mem,
@@ -354,9 +331,6 @@ keySchema()
                                    &CacheGeometry::sectorBytes));
         keys.push_back(cacheIntKey("l1d.assoc", l1d, &GpuConfig::l1d,
                                    &CacheGeometry::assoc));
-        keys.push_back(cacheBoolKey("l1d.allocate_on_write", l1d,
-                                    &GpuConfig::l1d,
-                                    &CacheGeometry::allocateOnWrite));
         keys.push_back(
             cacheSetsKey("l1d.sets", l1d, &GpuConfig::l1d));
 
@@ -371,9 +345,6 @@ keySchema()
                                    &CacheGeometry::sectorBytes));
         keys.push_back(cacheIntKey("l2.assoc", l2, &GpuConfig::l2,
                                    &CacheGeometry::assoc));
-        keys.push_back(cacheBoolKey("l2.allocate_on_write", l2,
-                                    &GpuConfig::l2,
-                                    &CacheGeometry::allocateOnWrite));
         keys.push_back(cacheSetsKey("l2.sets", l2, &GpuConfig::l2));
 
         // gpgpusim's -trace_enabled / -trace_components /

@@ -55,8 +55,8 @@ rtx2060sSim()
     cfg.l2Latency = 188;
     cfg.dramLatency = 330;
     cfg.dramBytesPerCyclePerSm = 7.99;
-    cfg.l1d = {64 * 1024, 128, 32, 32, false};
-    cfg.l2 = {4 * 1024 * 1024, 128, 32, 32, true};
+    cfg.l1d = {64 * 1024, 128, 32, 32};
+    cfg.l2 = {4 * 1024 * 1024, 128, 32, 32};
     // GDDR6: longer core-clock row timings than the HBM parts and a
     // 2 KiB row buffer over 16 banks per channel slice.
     cfg.dram = {16, 2048, 20, 46, 20, 3, DramSchedPolicy::Frfcfs,
@@ -84,8 +84,8 @@ p100Sim()
     cfg.l2Latency = 218;
     cfg.dramLatency = 380;
     cfg.dramBytesPerCyclePerSm = 9.84;
-    cfg.l1d = {24 * 1024, 128, 32, 6, false};
-    cfg.l2 = {4 * 1024 * 1024, 128, 32, 16, true};
+    cfg.l1d = {24 * 1024, 128, 32, 6};
+    cfg.l2 = {4 * 1024 * 1024, 128, 32, 16};
     // Pascal's small non-adaptive L1 tracks fewer outstanding
     // misses; HBM2 rows over 16 banks with a shallower queue.
     cfg.l1Mshr = {16, 8, 16};
@@ -111,8 +111,8 @@ a100Sim()
     cfg.l2Latency = 200;
     cfg.dramLatency = 290;
     cfg.dramBytesPerCyclePerSm = 10.2;
-    cfg.l1d = {192 * 1024, 128, 32, 24, false};
-    cfg.l2 = {40ull * 1024 * 1024, 128, 32, 20, true};
+    cfg.l1d = {192 * 1024, 128, 32, 24};
+    cfg.l2 = {40ull * 1024 * 1024, 128, 32, 20};
     cfg.numL2Slices = 8;
     // HBM2e: twice the banks of the HBM2 parts, deeper L2 miss
     // tracking behind the large cache.
@@ -144,9 +144,9 @@ h100Sim()
     cfg.l2Latency = 273;
     cfg.dramLatency = 478;
     cfg.dramBytesPerCyclePerSm = 13.88;
-    cfg.l1d = {256 * 1024, 128, 32, 32, false};
+    cfg.l1d = {256 * 1024, 128, 32, 32};
     // 50 MiB / (128 B lines x 25-way) = 16384 sets (power of two).
-    cfg.l2 = {50ull * 1024 * 1024, 128, 32, 25, true};
+    cfg.l2 = {50ull * 1024 * 1024, 128, 32, 25};
     cfg.numL2Slices = 8;
     // HBM3 at the higher core clock: more cycles per row command,
     // 32 banks, and the deepest scheduler queue of the family.
@@ -176,8 +176,8 @@ jetsonOrinSim()
     cfg.l2Latency = 240;
     cfg.dramLatency = 420;
     cfg.dramBytesPerCyclePerSm = 9.84;
-    cfg.l1d = {192 * 1024, 128, 32, 24, false};
-    cfg.l2 = {4ull * 1024 * 1024, 128, 32, 32, true};
+    cfg.l1d = {192 * 1024, 128, 32, 24};
+    cfg.l2 = {4ull * 1024 * 1024, 128, 32, 32};
     // LPDDR5 shared with the CPU: few banks, slow row cycles, a
     // shallow queue, and a simple in-order (FCFS) controller.
     cfg.l2Mshr = {32, 8, 32};

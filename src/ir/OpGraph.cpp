@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 
 #include "util/Logging.hpp"
 
@@ -237,50 +236,60 @@ OpGraph::criticalPathCost(const std::vector<uint64_t> &costs) const
     return longest;
 }
 
-uint64_t
-OpGraph::makespan(const std::vector<uint64_t> &costs, int lanes) const
+std::vector<LaneScheduleEntry>
+OpGraph::laneSchedule(const std::vector<uint64_t> &costs,
+                      int lanes) const
 {
     panicIf(costs.size() != nodeList.size(),
             "OpGraph: one cost per node required");
-    panicIf(lanes < 1, "OpGraph::makespan needs at least one lane");
-    // Deterministic list scheduling: issue in schedule order; each
-    // node starts when its dependencies are done and a lane is
-    // available. Lane choice is best-fit — the latest-freed lane
-    // that does not delay the start — so a dependency chain keeps
-    // reusing one lane instead of smearing idle gaps across all of
-    // them (lanes are work-conserving launch queues). All lanes are
-    // identical, so a multiset of lane-free times suffices.
-    const std::vector<uint64_t> finish = finishTimes(costs, lanes);
-    uint64_t end = 0;
-    for (const uint64_t f : finish)
-        end = std::max(end, f);
-    return end;
-}
-
-std::vector<uint64_t>
-OpGraph::finishTimes(const std::vector<uint64_t> &costs,
-                     int lanes) const
-{
-    panicIf(costs.size() != nodeList.size(),
-            "OpGraph: one cost per node required");
-    panicIf(lanes < 1, "OpGraph::finishTimes needs at least one lane");
+    panicIf(lanes < 1, "OpGraph::laneSchedule needs at least one lane");
+    // Best fit keeps a dependency chain on one lane instead of
+    // smearing idle gaps across all of them (lanes are
+    // work-conserving launch queues).
+    std::vector<uint64_t> freeAt(static_cast<size_t>(lanes), 0);
     std::vector<uint64_t> finish(nodeList.size(), 0);
-    std::multiset<uint64_t> laneFree;
-    for (int l = 0; l < lanes; ++l)
-        laneFree.insert(0);
+    std::vector<LaneScheduleEntry> out;
+    out.reserve(nodeList.size());
     for (const OpNode &n : nodeList) {
         uint64_t ready = 0;
         for (const size_t d : n.deps)
             ready = std::max(ready, finish[d]);
-        auto lane = laneFree.upper_bound(ready);
-        if (lane != laneFree.begin())
-            --lane; // latest lane already free at `ready`
-        const uint64_t start = std::max(ready, *lane);
-        laneFree.erase(lane);
-        finish[n.index] = start + costs[n.index];
-        laneFree.insert(finish[n.index]);
+        int best = -1;
+        for (int l = 0; l < lanes; ++l) {
+            const uint64_t f = freeAt[static_cast<size_t>(l)];
+            if (f > ready)
+                continue; // would not start at `ready` anyway
+            if (best < 0 ||
+                f > freeAt[static_cast<size_t>(best)])
+                best = l;
+        }
+        if (best < 0) { // every lane busy past `ready`: earliest one
+            best = 0;
+            for (int l = 1; l < lanes; ++l)
+                if (freeAt[static_cast<size_t>(l)] <
+                    freeAt[static_cast<size_t>(best)])
+                    best = l;
+        }
+        LaneScheduleEntry e;
+        e.node = n.index;
+        e.lane = best;
+        e.start =
+            std::max(ready, freeAt[static_cast<size_t>(best)]);
+        e.finish = e.start + costs[n.index];
+        freeAt[static_cast<size_t>(best)] = e.finish;
+        finish[n.index] = e.finish;
+        out.push_back(e);
     }
-    return finish;
+    return out;
+}
+
+uint64_t
+OpGraph::makespan(const std::vector<uint64_t> &costs, int lanes) const
+{
+    uint64_t end = 0;
+    for (const LaneScheduleEntry &e : laneSchedule(costs, lanes))
+        end = std::max(end, e.finish);
+    return end;
 }
 
 } // namespace gsuite

@@ -67,6 +67,14 @@ struct OpNode {
     bool barrier = false; ///< undeclared IO: conservatively ordered
 };
 
+/** One node's placement in OpGraph::laneSchedule. */
+struct LaneScheduleEntry {
+    size_t node = 0;
+    int lane = 0;
+    uint64_t start = 0;
+    uint64_t finish = 0;
+};
+
 /**
  * A dataflow graph of kernel launches. Non-owning: kernels and the
  * buffers they reference must outlive the graph (GnnPipeline owns
@@ -171,23 +179,21 @@ class OpGraph
     criticalPathCost(const std::vector<uint64_t> &costs) const;
 
     /**
-     * Deterministic list-schedule makespan over @p lanes concurrent
-     * launch lanes: nodes issue in schedule order, each on the
-     * earliest-free lane once its dependencies finish. This is the
-     * engine's model of multi-launch overlap (SimEngine's lanes are
-     * order-independent, so the model is exact up to lane count).
+     * Deterministic list schedule over @p lanes concurrent launch
+     * lanes, one entry per node in schedule order. Each node starts
+     * once its dependencies finish and a lane is free; it takes the
+     * latest-freed lane that does not delay that start (best fit),
+     * else the earliest-free one, and the lowest index among equally
+     * free lanes. This is the engine's model of multi-launch overlap
+     * (SimEngine's lanes are order-independent, so the model is
+     * exact up to lane count); the engine trace draws its lanes.
      */
+    std::vector<LaneScheduleEntry>
+    laneSchedule(const std::vector<uint64_t> &costs, int lanes) const;
+
+    /** The largest finish time of laneSchedule(costs, lanes). */
     uint64_t makespan(const std::vector<uint64_t> &costs,
                       int lanes) const;
-
-    /**
-     * The per-node finish times of the makespan() list schedule (the
-     * makespan is their maximum). The engine-trace lane replay
-     * (obs/GraphTrace's laneSchedule) mirrors this schedule; exposing
-     * the ground truth lets tests pin that replay to the IR exactly.
-     */
-    std::vector<uint64_t>
-    finishTimes(const std::vector<uint64_t> &costs, int lanes) const;
 
   private:
     struct BufferState {

@@ -137,7 +137,6 @@ ElementwiseKernel::makeLaunch(DeviceAllocator &alloc) const
     launch.dims.numCtas = ceilDiv(std::max<int64_t>(total, 1),
                                   kCtaThreads);
     launch.dims.threadsPerCta = kCtaThreads;
-    launch.bytesEstimate = static_cast<uint64_t>(total) * 8;
 
     // Streaming generator: short fixed per-warp sequence, one chunk.
     const EwOp kind_op = op;

@@ -59,8 +59,6 @@ IndexSelectKernel::makeLaunch(DeviceAllocator &alloc) const
     launch.kind = KernelClass::IndexSelect;
     launch.dims.numCtas = ceilDiv(total, kCtaThreads);
     launch.dims.threadsPerCta = kCtaThreads;
-    launch.bytesEstimate = static_cast<uint64_t>(total) * 8 +
-                           static_cast<uint64_t>(e) * 8;
 
     // Streaming generator: short fixed per-warp sequence, one chunk.
     const std::vector<int64_t> *idx = &index;

@@ -104,7 +104,6 @@ ScatterKernel::makeLaunch(DeviceAllocator &alloc) const
     launch.kind = KernelClass::Scatter;
     launch.dims.numCtas = ceilDiv(total, kCtaThreads);
     launch.dims.threadsPerCta = kCtaThreads;
-    launch.bytesEstimate = static_cast<uint64_t>(total) * 8;
 
     // Streaming generator: a scatter warp's trace is a short fixed
     // sequence, so the whole warp fits one chunk (single-call

@@ -74,12 +74,6 @@ SgemmKernel::makeLaunch(DeviceAllocator &alloc) const
     launch.kind = KernelClass::Sgemm;
     launch.dims.numCtas = cta_x * cta_y;
     launch.dims.threadsPerCta = kTile * kTile; // 256 = 8 warps
-    launch.flopEstimate = static_cast<uint64_t>(2) *
-                          static_cast<uint64_t>(m) *
-                          static_cast<uint64_t>(n) *
-                          static_cast<uint64_t>(k);
-    launch.bytesEstimate =
-        static_cast<uint64_t>(m * k + k * n + m * n) * 4;
 
     // Storage offsets under optional transposition: transposed
     // operands produce the strided (column-wise) access pattern a

@@ -47,9 +47,6 @@ SpmmKernel::makeLaunch(DeviceAllocator &alloc) const
     launch.kind = KernelClass::SpMM;
     launch.dims.numCtas = ceilDiv(total_warps, kCtaWarps);
     launch.dims.threadsPerCta = kCtaThreads;
-    launch.flopEstimate =
-        static_cast<uint64_t>(2) * static_cast<uint64_t>(a.nnz()) *
-        static_cast<uint64_t>(f);
 
     // Streaming generator: the row loop is resumable so a
     // Reddit-scale row materializes one chunk at a time instead of

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cctype>
 
-#include "util/Logging.hpp"
-
 namespace gsuite {
 
 std::string
@@ -23,56 +21,6 @@ metricSlug(const std::string &label)
         } else {
             pendingSep = true;
         }
-    }
-    return out;
-}
-
-std::vector<LaneScheduleEntry>
-laneSchedule(const OpGraph &graph,
-             const std::vector<uint64_t> &costs, int lanes)
-{
-    panicIf(costs.size() != graph.numNodes(),
-            "laneSchedule: one cost per node required");
-    panicIf(lanes < 1, "laneSchedule needs at least one lane");
-    // Mirror of OpGraph::finishTimes: issue in schedule order, lane
-    // choice is the latest-freed lane that does not delay the start
-    // (best fit), falling back to the earliest-free lane. Where the
-    // multiset formulation leaves the physical lane ambiguous (equal
-    // free times), take the lowest index — finish times are invariant
-    // to that tie-break, and lanes gain stable display identities.
-    std::vector<uint64_t> freeAt(static_cast<size_t>(lanes), 0);
-    std::vector<uint64_t> finish(graph.numNodes(), 0);
-    std::vector<LaneScheduleEntry> out;
-    out.reserve(graph.numNodes());
-    for (const OpNode &n : graph.nodes()) {
-        uint64_t ready = 0;
-        for (const size_t d : n.deps)
-            ready = std::max(ready, finish[d]);
-        int best = -1;
-        for (int l = 0; l < lanes; ++l) {
-            const uint64_t f = freeAt[static_cast<size_t>(l)];
-            if (f > ready)
-                continue; // would not start at `ready` anyway
-            if (best < 0 ||
-                f > freeAt[static_cast<size_t>(best)])
-                best = l;
-        }
-        if (best < 0) { // every lane busy past `ready`: earliest one
-            best = 0;
-            for (int l = 1; l < lanes; ++l)
-                if (freeAt[static_cast<size_t>(l)] <
-                    freeAt[static_cast<size_t>(best)])
-                    best = l;
-        }
-        LaneScheduleEntry e;
-        e.node = n.index;
-        e.lane = best;
-        e.start =
-            std::max(ready, freeAt[static_cast<size_t>(best)]);
-        e.finish = e.start + costs[n.index];
-        freeAt[static_cast<size_t>(best)] = e.finish;
-        finish[n.index] = e.finish;
-        out.push_back(e);
     }
     return out;
 }
@@ -135,7 +83,7 @@ emitGraphTrace(TraceSink &sink, const OpGraph &graph,
     if (!any_sim)
         costs.assign(n, 1);
     const std::vector<LaneScheduleEntry> sched =
-        laneSchedule(graph, costs, lanes);
+        graph.laneSchedule(costs, lanes);
 
     // --- engine: per-lane node spans + stall-class counters --------
     if (sink.enabled(TraceEngine)) {

@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "simgpu/MemorySystem.hpp"
 #include "util/Logging.hpp"
 #include "util/ThreadPool.hpp"
 
@@ -33,11 +34,8 @@ HwProfiler::profile(const KernelLaunch &launch)
 {
     panicIf(!launch.hasTraceGen(), "profiling a launch without traces");
 
-    const int64_t expected =
-        (launch.dims.numCtas +
-         static_cast<int64_t>(cfg.smSampleFactor) - 1) /
-        static_cast<int64_t>(cfg.smSampleFactor);
-    const int64_t ctas = std::min(expected, cfg.maxCtas);
+    const int64_t ctas = std::min(
+        launch.dims.ctaShare(cfg.smSampleFactor), cfg.maxCtas);
     const int warps = launch.dims.warpsPerCta();
     const uint64_t sector =
         static_cast<uint64_t>(cfg.l1.sectorBytes);
@@ -91,21 +89,9 @@ HwProfiler::profile(const KernelLaunch &launch)
                     for (const SimInstr &in : trace.instrs) {
                         if (!isGlobalMemOp(in.op))
                             continue;
-                        // Coalesce to unique 32B sectors.
                         uint64_t sectors[32];
-                        int ns = 0;
-                        for (uint64_t a : trace.addrsOf(in)) {
-                            const uint64_t s = a / sector;
-                            bool dup = false;
-                            for (int i = 0; i < ns; ++i) {
-                                if (sectors[i] == s) {
-                                    dup = true;
-                                    break;
-                                }
-                            }
-                            if (!dup)
-                                sectors[ns++] = s;
-                        }
+                        const int ns = coalesceSectors(
+                            trace.addrsOf(in), sector, sectors);
                         for (int i = 0; i < ns; ++i) {
                             const uint64_t addr =
                                 sectors[i] * sector;

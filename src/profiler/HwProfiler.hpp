@@ -40,12 +40,12 @@ struct HwProfilerConfig {
      */
     int smSampleFactor = 10;
     /** Volta L1: 128 KB, 128 B lines, 32 B sectors. */
-    CacheGeometry l1{128 * 1024, 128, 32, 64, false};
+    CacheGeometry l1{128 * 1024, 128, 32, 64};
     /**
      * Volta L2: 6 MB; modeled with full-line fills (sectorBytes ==
      * lineBytes), the behaviour nvprof's l2 counters reflect.
      */
-    CacheGeometry l2{6 * 1024 * 1024, 128, 128, 16, true};
+    CacheGeometry l2{6 * 1024 * 1024, 128, 128, 16};
     /** CTA sampling cap, matching the simulator's default. */
     int64_t maxCtas = 2048;
 

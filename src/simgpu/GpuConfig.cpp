@@ -87,8 +87,8 @@ GpuConfig::testTiny()
     cfg.maxThreadsPerSm = 256;
     cfg.maxCtasPerSm = 4;
     cfg.numSchedulers = 2;
-    cfg.l1d = {4 * 1024, 128, 32, 4, false};
-    cfg.l2 = {16 * 1024, 128, 32, 8, true};
+    cfg.l1d = {4 * 1024, 128, 32, 4};
+    cfg.l2 = {16 * 1024, 128, 32, 8};
     // Small enough that unit tests can drive the machine into MSHR
     // back-pressure and queue rejection with modest footprints.
     cfg.l1Mshr = {8, 4, 8};
@@ -100,8 +100,8 @@ GpuConfig::testTiny()
 void
 GpuConfig::validate() const
 {
-    if (numSms <= 0 || warpSize != 32)
-        fatal("GpuConfig: numSms must be positive and warpSize 32");
+    if (numSms <= 0)
+        fatal("GpuConfig: numSms must be positive");
     if (maxWarpsPerSm <= 0 || numSchedulers <= 0)
         fatal("GpuConfig: bad SM geometry");
     if (maxWarpsPerSm % numSchedulers != 0)
@@ -114,8 +114,6 @@ GpuConfig::validate() const
         icacheColdLatency <= 0 || ifetchLatency <= 0 ||
         l1Latency <= 0 || l2Latency <= 0 || dramLatency <= 0)
         fatal("GpuConfig: latencies must be positive cycles");
-    if (lsuPortsPerSm <= 0)
-        fatal("GpuConfig: lsuPortsPerSm must be positive");
     if (coreClockGhz <= 0.0)
         fatal("GpuConfig: core clock must be positive");
     auto check_cache = [](const CacheGeometry &g, const char *label) {

@@ -105,8 +105,6 @@ struct CacheGeometry {
     int lineBytes = 128;
     int sectorBytes = 32;
     int assoc = 4;
-    /** Allocate a line on write miss (L2) or write around it (L1). */
-    bool allocateOnWrite = false;
 
     int numSets() const
     {
@@ -126,7 +124,6 @@ struct GpuConfig {
     // --- core geometry -------------------------------------------------
     int numSms = 8;          ///< simulated SMs (sampled subset)
     int smSampleFactor = 10; ///< modeled GPU has numSms * this SMs
-    int warpSize = 32;
     int maxWarpsPerSm = 64;
     int maxThreadsPerSm = 2048;
     int maxCtasPerSm = 32;
@@ -154,7 +151,6 @@ struct GpuConfig {
     int ifetchLatency = 1;      ///< steady-state i-buffer refill
 
     // --- memory system ---------------------------------------------------
-    int lsuPortsPerSm = 1;  ///< memory instructions accepted per cycle
     int l1Latency = 28;     ///< L1 hit latency (Volta ~28 cycles)
     int l2Latency = 190;    ///< L1-miss/L2-hit round trip
     int dramLatency = 360;  ///< L2-miss round trip before queueing
@@ -167,8 +163,8 @@ struct GpuConfig {
      */
     double dramBytesPerCyclePerSm = 8.15;
 
-    CacheGeometry l1d{128 * 1024, 128, 32, 64, false};
-    CacheGeometry l2{3 * 1024 * 1024, 128, 32, 24, true};
+    CacheGeometry l1d{128 * 1024, 128, 32, 64};
+    CacheGeometry l2{3 * 1024 * 1024, 128, 32, 24};
 
     /**
      * Finite MSHR tables. The L1 table tracks every in-flight sector

@@ -11,6 +11,16 @@ namespace gsuite {
 
 namespace {
 
+/**
+ * Hard safety limit: a launch still running at this cycle stops, its
+ * parked memory accesses drain, and the run reports the stats so far
+ * with a warning.
+ */
+constexpr uint64_t kSimCycleLimit = 50'000'000;
+
+/** Cycle interval between warp-scheduler trace samples. */
+constexpr uint64_t kSmSampleIntervalCycles = 1024;
+
 /** Validate before any member (MemorySystem divides by slice count). */
 GpuConfig
 validated(GpuConfig cfg)
@@ -55,13 +65,12 @@ GpuSimulator::controlPhase(RunControl &ctl, bool issued,
 {
     constexpr uint64_t kNoEvent = ~uint64_t{0};
 
-    // The watchdog ceiling stops the clock exactly like cycleLimit
-    // (so fast-forwarding cannot overshoot it), but is reported as an
-    // error instead of a truncation.
+    // The watchdog ceiling stops the clock exactly like the cycle
+    // limit (so fast-forwarding cannot overshoot it), but is reported
+    // as an error instead of a truncation.
     const uint64_t hard_stop =
-        ctl.cycleCeiling
-            ? std::min(ctl.cycleLimit, ctl.cycleCeiling)
-            : ctl.cycleLimit;
+        ctl.cycleCeiling ? std::min(kSimCycleLimit, ctl.cycleCeiling)
+                         : kSimCycleLimit;
 
     // Advance first, then re-assign and re-check: the reported cycle
     // count includes the cycle in which the last instruction issued
@@ -92,8 +101,8 @@ GpuSimulator::controlPhase(RunControl &ctl, bool issued,
             sms[static_cast<size_t>(ctl.sampleCore)]
                 ->sampleSchedState(ctl.cycle));
         ctl.nextSampleCycle =
-            (ctl.cycle / ctl.sampleInterval + 1) *
-            ctl.sampleInterval;
+            (ctl.cycle / kSmSampleIntervalCycles + 1) *
+            kSmSampleIntervalCycles;
     }
 
     if (ctl.cycle >= hard_stop) {
@@ -131,10 +140,7 @@ GpuSimulator::run(const KernelLaunch &launch, const SimOptions &opts)
     // occupancy (small launches underfill the machine exactly as
     // they would the real one). The maxCtas cap bounds runtime for
     // huge grids on top of that.
-    const int64_t expected =
-        (launch.dims.numCtas +
-         static_cast<int64_t>(cfg.smSampleFactor) - 1) /
-        static_cast<int64_t>(cfg.smSampleFactor);
+    const int64_t expected = launch.dims.ctaShare(cfg.smSampleFactor);
 
     // CTA sampling (sample.mode=cta): cycle-simulate a deterministic
     // stratified sample of that per-SM share and extrapolate. When
@@ -160,15 +166,12 @@ GpuSimulator::run(const KernelLaunch &launch, const SimOptions &opts)
                         ? static_cast<int64_t>(plan.order.size())
                         : std::min(expected, opts.maxCtas);
     ctl.sampleOrder = plan.engaged ? &plan.order : nullptr;
-    ctl.cycleLimit = opts.cycleLimit;
     ctl.cycleCeiling = opts.cycleCeiling;
     if (opts.smSampleEnabled) {
         ctl.sampleEnabled = true;
         ctl.sampleCore = std::clamp(opts.smSampleCore, 0,
                                     cfg.numSms - 1);
-        ctl.sampleInterval =
-            std::max<uint64_t>(1, opts.smSampleIntervalCycles);
-        ctl.nextSampleCycle = ctl.sampleInterval;
+        ctl.nextSampleCycle = kSmSampleIntervalCycles;
     }
 
     assignCtas(ctl); // initial CTA wave at cycle 0
@@ -258,7 +261,7 @@ GpuSimulator::run(const KernelLaunch &launch, const SimOptions &opts)
         warn("kernel '%s' hit the %" PRIu64
              "-cycle simulation limit after %" PRIu64
              " of %" PRIu64 " CTAs (expected %" PRIu64 ")",
-             launch.name.c_str(), opts.cycleLimit,
+             launch.name.c_str(), kSimCycleLimit,
              static_cast<uint64_t>(ctl.nextCta),
              static_cast<uint64_t>(ctl.ctasToSim),
              static_cast<uint64_t>(expected));

@@ -41,12 +41,10 @@ struct SimOptions {
      */
     int64_t maxCtas = 2048;
 
-    /** Hard safety limit; the run aborts with a warning beyond it. */
-    uint64_t cycleLimit = 50'000'000;
-
     /**
-     * Ignored: a launch always simulates on the calling thread. The
-     * field remains only because existing callers assign it.
+     * Ignored: a launch always simulates on the calling thread. Only
+     * bench/host_perf still assigns it; it goes at that benchmark's
+     * next change.
      */
     int numThreads = 0;
 
@@ -70,9 +68,10 @@ struct SimOptions {
     /**
      * Watchdog ceiling: a kernel that reaches this many cycles fails
      * with RunException(RunError::Timeout) instead of completing.
-     * 0 disables. Unlike cycleLimit — which truncates the run with a
-     * warning and still reports stats — the ceiling is an error, so
-     * sweeps can bound runaway points deterministically.
+     * 0 disables. Unlike the 50 M-cycle safety limit — which
+     * truncates the run with a warning and still reports stats — the
+     * ceiling is an error, so sweeps can bound runaway points
+     * deterministically.
      */
     uint64_t cycleCeiling = 0;
 
@@ -80,15 +79,14 @@ struct SimOptions {
      * Warp-scheduler trace sampling (src/obs, hwdb trace.* keys):
      * when enabled, the control phase snapshots the cumulative
      * stall/occupancy counters of SM smSampleCore at the first
-     * stepped cycle at or past each smSampleIntervalCycles boundary,
-     * into KernelStats::smSamples. Pure observation — the samples
-     * are read in the control phase and no simulated state is
-     * touched, so every deterministic counter is bit-identical with
-     * sampling on or off.
+     * stepped cycle at or past each 1024-cycle boundary, into
+     * KernelStats::smSamples. Pure observation — the samples are
+     * read in the control phase and no simulated state is touched,
+     * so every deterministic counter is bit-identical with sampling
+     * on or off.
      */
     bool smSampleEnabled = false;
     int smSampleCore = 0;
-    uint64_t smSampleIntervalCycles = 1024;
 };
 
 /** Timing-detailed GPU simulator. */
@@ -109,7 +107,6 @@ class GpuSimulator
         int64_t ctasToSim = 0;
         int64_t nextCta = 0;
         uint64_t cycle = 0;
-        uint64_t cycleLimit = 0;
         uint64_t cycleCeiling = 0;
         bool done = false;
         bool hitLimit = false;
@@ -123,7 +120,6 @@ class GpuSimulator
         // Trace sampling (control phase only).
         bool sampleEnabled = false;
         int sampleCore = 0;
-        uint64_t sampleInterval = 0;
         uint64_t nextSampleCycle = 0;
         std::vector<SmSchedSample> samples;
     };

@@ -52,6 +52,17 @@ struct LaunchDims {
         return (threadsPerCta + 31) / 32;
     }
     int64_t totalWarps() const { return numCtas * warpsPerCta(); }
+    /**
+     * The CTAs a simulated SM subset processes: a 1/smSampleFactor
+     * share of the grid, rounded up, so each simulated SM keeps the
+     * occupancy it would have on the full GPU. The simulator and the
+     * hardware cache profiler both run this share.
+     */
+    int64_t
+    ctaShare(int smSampleFactor) const
+    {
+        return (numCtas + smSampleFactor - 1) / smSampleFactor;
+    }
     int64_t
     totalThreads() const
     {
@@ -109,11 +120,6 @@ struct KernelLaunch {
      * and deterministic. Absent = uniform cost.
      */
     std::function<uint64_t(int64_t cta)> ctaCostHint;
-
-    /** Estimated FLOPs (for reports only). */
-    uint64_t flopEstimate = 0;
-    /** Estimated bytes touched (for reports only). */
-    uint64_t bytesEstimate = 0;
 };
 
 } // namespace gsuite

@@ -78,19 +78,8 @@ MemorySystem::beginAccess(int sm, uint64_t cycle,
     const uint64_t sector_bytes =
         static_cast<uint64_t>(cfg.l1d.sectorBytes);
     uint64_t sectors[32];
-    int num_sectors = 0;
-    for (uint64_t a : lane_addrs) {
-        const uint64_t s = a / sector_bytes;
-        bool found = false;
-        for (int i = 0; i < num_sectors; ++i) {
-            if (sectors[i] == s) {
-                found = true;
-                break;
-            }
-        }
-        if (!found)
-            sectors[num_sectors++] = s;
-    }
+    const int num_sectors =
+        coalesceSectors(lane_addrs, sector_bytes, sectors);
     int max_conflict = 1;
     if (kind == MemAccessKind::Atomic) {
         // Conflicting lanes (same 4-byte word) serialize the RMW.

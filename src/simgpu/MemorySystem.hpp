@@ -54,6 +54,34 @@ enum class MemAccessKind {
     Atomic, ///< ATOM: performed at L2, bypasses L1
 };
 
+/**
+ * The coalescer: collapse a warp's lane addresses into the unique
+ * sectors they touch, in first-touch order. Writes each sector's
+ * index (address / @p sector_bytes) to @p sectors and returns how
+ * many there are (at most one per lane). The simulator's
+ * beginAccess() and the hardware cache profiler both coalesce
+ * through it.
+ */
+inline int
+coalesceSectors(std::span<const uint64_t> lane_addrs,
+                uint64_t sector_bytes, uint64_t (&sectors)[32])
+{
+    int n = 0;
+    for (const uint64_t a : lane_addrs) {
+        const uint64_t s = a / sector_bytes;
+        bool found = false;
+        for (int i = 0; i < n; ++i) {
+            if (sectors[i] == s) {
+                found = true;
+                break;
+            }
+        }
+        if (!found)
+            sectors[n++] = s;
+    }
+    return n;
+}
+
 /** Result of one warp-level memory instruction. */
 struct MemAccessResult {
     uint64_t completion = 0; ///< cycle when the value is usable

@@ -297,8 +297,8 @@ BenchSession::runPoint(const UserParams &params, const Graph &graph)
             std::chrono::duration<double, std::milli>(t1 - t0)
                 .count();
         if (sink->droppedEvents() > 0)
-            warn("trace %s dropped %llu events (raise "
-                 "trackCapacity or narrow trace.components)",
+            warn("trace %s dropped %llu events (narrow "
+                 "trace.components)",
                  tracePath.c_str(),
                  static_cast<unsigned long long>(
                      sink->droppedEvents()));
@@ -368,8 +368,6 @@ BenchSession::run(const SweepSpec &spec,
             if (autoLaunchLanes)
                 pt.params.simParallelLaunches = share;
         }
-        if (pt.params.cycleCeiling == 0)
-            pt.params.cycleCeiling = opts.pointCycleCeiling;
         SweepResult result;
         result.point = pt;
         try {

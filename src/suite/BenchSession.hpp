@@ -59,15 +59,6 @@ class BenchSession
         int threadBudget = 0;
 
         /**
-         * Watchdog sim-cycle ceiling applied to every point whose
-         * own params.cycleCeiling is unset (0): a sim kernel that
-         * reaches it fails its point with RunError::Timeout instead
-         * of hanging the sweep. Deterministic (cycle-domain).
-         * 0 disables.
-         */
-        uint64_t pointCycleCeiling = 0;
-
-        /**
          * Capacity (graphs) of the per-session dataset cache used
          * by the default runner: sweep points sharing a
          * (dataset, scale, seed) load their graph once per session

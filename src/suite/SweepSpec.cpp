@@ -46,13 +46,6 @@ SweepSpec::comps(const std::vector<CompModel> &cs)
 }
 
 SweepSpec &
-SweepSpec::frameworks(const std::vector<Framework> &fs)
-{
-    fwAxis = fs;
-    return *this;
-}
-
-SweepSpec &
 SweepSpec::engines(const std::vector<EngineKind> &es)
 {
     engineAxis = es;
@@ -98,30 +91,9 @@ SweepSpec::samples(const std::vector<std::string> &specs)
 }
 
 SweepSpec &
-SweepSpec::layers(int l)
-{
-    baseParams.layers = l;
-    return *this;
-}
-
-SweepSpec &
 SweepSpec::runs(int r)
 {
     baseParams.runs = r;
-    return *this;
-}
-
-SweepSpec &
-SweepSpec::maxCtas(int64_t ctas)
-{
-    baseParams.maxCtas = ctas;
-    return *this;
-}
-
-SweepSpec &
-SweepSpec::profileCaches(bool on)
-{
-    baseParams.profileCaches = on;
     return *this;
 }
 
@@ -163,9 +135,6 @@ SweepSpec::expand() const
     const std::vector<CompModel> comps =
         compAxis.empty() ? std::vector<CompModel>{baseParams.comp}
                          : compAxis;
-    const std::vector<Framework> fws =
-        fwAxis.empty() ? std::vector<Framework>{baseParams.framework}
-                       : fwAxis;
     const std::vector<EngineKind> engines =
         engineAxis.empty()
             ? std::vector<EngineKind>{baseParams.engine}
@@ -197,73 +166,70 @@ SweepSpec::expand() const
                 fatal("duplicate sample axis entry '%s'", s.c_str());
     }
 
+    const std::string fw = frameworkName(baseParams.framework);
     std::vector<SweepPoint> points;
-    points.reserve(gpus.size() * vars.size() * fws.size() *
-                   models.size() * comps.size() * engines.size() *
-                   ds.size() * samples.size() * batches.size());
+    points.reserve(gpus.size() * vars.size() * models.size() *
+                   comps.size() * engines.size() * ds.size() *
+                   samples.size() * batches.size());
     for (const std::string &g : gpus) {
       for (const SweepVariant &v : vars) {
-        for (const Framework fw : fws) {
-            for (const GnnModelKind m : models) {
-                for (const CompModel c : comps) {
-                    for (const EngineKind e : engines) {
-                        for (const std::string &d : ds) {
-                          for (const std::string &sm : samples) {
-                          for (const int b : batches) {
-                            UserParams p = baseParams;
-                            p.gpu = g;
-                            p.framework = fw;
-                            p.model = m;
-                            p.comp = c;
-                            p.engine = e;
-                            p.dataset = d;
-                            p.sample = sm;
-                            p.batch = b;
-                            if (v.apply)
-                                v.apply(p);
+        for (const GnnModelKind m : models) {
+          for (const CompModel c : comps) {
+            for (const EngineKind e : engines) {
+              for (const std::string &d : ds) {
+                for (const std::string &sm : samples) {
+                  for (const int b : batches) {
+                    UserParams p = baseParams;
+                    p.gpu = g;
+                    p.model = m;
+                    p.comp = c;
+                    p.engine = e;
+                    p.dataset = d;
+                    p.sample = sm;
+                    p.batch = b;
+                    if (v.apply)
+                        v.apply(p);
 
-                            bool skipped = false;
-                            for (const auto &pred : skips)
-                                skipped = skipped || pred(p);
-                            if (skipped)
-                                continue;
+                    bool skipped = false;
+                    for (const auto &pred : skips)
+                        skipped = skipped || pred(p);
+                    if (skipped)
+                        continue;
 
-                            SweepPoint pt;
-                            pt.index = points.size();
-                            pt.variant = v.label;
-                            std::string label;
-                            if (gpus.size() > 1)
-                                label += "[" + g + "]";
-                            if (!v.label.empty())
-                                label += v.label + ":";
-                            label += frameworkName(fw);
-                            label += "/";
-                            label += gnnModelName(m);
-                            label += "/";
-                            label += compModelName(c);
-                            label += "/";
-                            label += d;
-                            if (engines.size() > 1)
-                                label += e == EngineKind::Sim
-                                             ? "@sim"
-                                             : "@functional";
-                            if (samples.size() > 1) {
-                                label += "~";
-                                label += sm.empty() ? "off" : sm;
-                            }
-                            if (batches.size() > 1) {
-                                label += "x";
-                                label += std::to_string(b);
-                            }
-                            pt.label = std::move(label);
-                            pt.params = std::move(p);
-                            points.push_back(std::move(pt));
-                          }
-                          }
-                        }
+                    SweepPoint pt;
+                    pt.index = points.size();
+                    pt.variant = v.label;
+                    std::string label;
+                    if (gpus.size() > 1)
+                        label += "[" + g + "]";
+                    if (!v.label.empty())
+                        label += v.label + ":";
+                    label += fw;
+                    label += "/";
+                    label += gnnModelName(m);
+                    label += "/";
+                    label += compModelName(c);
+                    label += "/";
+                    label += d;
+                    if (engines.size() > 1)
+                        label += e == EngineKind::Sim ? "@sim"
+                                                      : "@functional";
+                    if (samples.size() > 1) {
+                        label += "~";
+                        label += sm.empty() ? "off" : sm;
                     }
+                    if (batches.size() > 1) {
+                        label += "x";
+                        label += std::to_string(b);
+                    }
+                    pt.label = std::move(label);
+                    pt.params = std::move(p);
+                    points.push_back(std::move(pt));
+                  }
                 }
+              }
             }
+          }
         }
       }
     }

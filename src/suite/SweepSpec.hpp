@@ -2,7 +2,7 @@
  * @file
  * Declarative sweep grids — the multi-point face of the paper's
  * Fig. 1 user interface. A SweepSpec is a builder-style description
- * of a (framework x model x comp x dataset x engine x variant) grid
+ * of a (model x comp x dataset x engine x variant) grid
  * that expands to a deterministic, ordered list of UserParams points
  * with stable per-point labels. BenchSession executes the points;
  * ResultStore holds the results.
@@ -43,9 +43,10 @@ struct SweepPoint {
  * axes additionally split comma-separated base values, the CLI sweep
  * shorthand), so an empty spec expands to exactly one point.
  * Expansion order is fixed and documented:
- * gpus > variants > frameworks > models > comps > engines >
- * datasets > samples > batches (outermost to innermost), each axis
- * in the order given.
+ * gpus > variants > models > comps > engines > datasets > samples >
+ * batches (outermost to innermost), each axis in the order given.
+ * The framework comes from the base params (a variant may override
+ * it; point labels keep the base framework's name).
  */
 class SweepSpec
 {
@@ -58,7 +59,6 @@ class SweepSpec
     SweepSpec &datasetNames(const std::vector<std::string> &names);
     SweepSpec &models(const std::vector<GnnModelKind> &ms);
     SweepSpec &comps(const std::vector<CompModel> &cs);
-    SweepSpec &frameworks(const std::vector<Framework> &fs);
     SweepSpec &engines(const std::vector<EngineKind> &es);
     SweepSpec &engine(EngineKind e);
     SweepSpec &variants(std::vector<SweepVariant> vs);
@@ -85,11 +85,8 @@ class SweepSpec
      */
     SweepSpec &samples(const std::vector<std::string> &specs);
 
-    // Sugar for the base params benches tweak most often.
-    SweepSpec &layers(int l);
+    /** Sugar: base params' run count. */
     SweepSpec &runs(int r);
-    SweepSpec &maxCtas(int64_t ctas);
-    SweepSpec &profileCaches(bool on);
 
     /** Arbitrary base-params tweak, applied immediately. */
     SweepSpec &configure(const std::function<void(UserParams &)> &fn);
@@ -117,7 +114,6 @@ class SweepSpec
     std::vector<std::string> dsAxis;
     std::vector<GnnModelKind> modelAxis;
     std::vector<CompModel> compAxis;
-    std::vector<Framework> fwAxis;
     std::vector<EngineKind> engineAxis;
     std::vector<int> batchAxis;
     std::vector<SweepVariant> variantAxis;

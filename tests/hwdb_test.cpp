@@ -139,6 +139,7 @@ TEST(HwPresets, ExpandGpuSpecsSplitsExpandsAndDedups)
 TEST(HwConfigFile, RoundTripsEveryPreset)
 {
     for (const HwPreset &p : hwPresets()) {
+        EXPECT_EQ(gpuConfigKeyValues(p.config).size(), 52u) << p.name;
         const std::string text = serializeGpuConfig(p.config);
         const HwConfig reparsed =
             parseHwConfigText(text, "<" + p.name + ">");
@@ -195,6 +196,15 @@ TEST(HwConfigFile, RejectsUnknownKey)
     EXPECT_EXIT(
         parseHwConfigText("core.num_smss 8\n", "<test>"),
         ::testing::ExitedWithCode(1), "");
+    // Fixed in code, so not keys: a warp is 32 lanes, an SM has one
+    // LSU, and each cache level has one write policy.
+    for (const char *fixed :
+         {"core.warp_size 32\n", "mem.lsu_ports_per_sm 1\n",
+          "l1d.allocate_on_write false\n",
+          "l2.allocate_on_write true\n"})
+        EXPECT_EXIT(parseHwConfigText(fixed, "<test>"),
+                    ::testing::ExitedWithCode(1), "unknown key")
+            << fixed;
 }
 
 TEST(HwConfigFile, RejectsIllTypedValues)

@@ -304,6 +304,21 @@ TEST(OpGraphCosts, SerialCriticalPathAndMakespanAreConsistent)
         }
         // Deterministic: same inputs, same answer.
         EXPECT_EQ(ms, ops.makespan(costs, lanes)) << lanes;
+        // The schedule behind it: one entry per node in schedule
+        // order, each spanning exactly its cost on a real lane.
+        const std::vector<LaneScheduleEntry> sched =
+            ops.laneSchedule(costs, lanes);
+        ASSERT_EQ(sched.size(), ops.numNodes());
+        uint64_t last = 0;
+        for (size_t i = 0; i < sched.size(); ++i) {
+            const LaneScheduleEntry &e = sched[i];
+            EXPECT_EQ(e.node, i);
+            EXPECT_EQ(e.finish - e.start, costs[e.node]);
+            EXPECT_GE(e.lane, 0);
+            EXPECT_LT(e.lane, lanes);
+            last = std::max(last, e.finish);
+        }
+        EXPECT_EQ(last, ms) << lanes;
     }
     // GAT exposes real branch parallelism: more lanes must help.
     EXPECT_LT(ops.makespan(costs, 4), serial);

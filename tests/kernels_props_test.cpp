@@ -104,7 +104,6 @@ TEST(SgemmTransposed, LaunchGeometryUsesEffectiveDims)
     const KernelLaunch l = k.makeLaunch(alloc);
     // m=32, n=48 -> 2 x 3 tiles.
     EXPECT_EQ(l.dims.numCtas, 6);
-    EXPECT_EQ(l.flopEstimate, 2ull * 32 * 48 * 64);
 }
 
 TEST(ElementwiseExtended, LeakyRelu)

@@ -220,7 +220,6 @@ TEST(SgemmKernelTest, TiledLaunchGeometryAndBarriers)
     // ceil(33/16) x ceil(17/16) = 3 x 2.
     EXPECT_EQ(l.dims.numCtas, 6);
     EXPECT_EQ(l.dims.threadsPerCta, 256);
-    EXPECT_EQ(l.flopEstimate, 2ull * 33 * 17 * 40);
     checkTraces(l);
     WarpTrace t;
     l.buildFullTrace(0, 0, t);

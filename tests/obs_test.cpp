@@ -3,8 +3,7 @@
  * Tests for the observability subsystem (src/obs): TraceSink
  * recording/export invariants (disabled-path zero allocation,
  * bounded-buffer overflow accounting, merge-order determinism),
- * counter-name slugs, the lane-schedule trace replay against
- * the op-graph ground truth, and the tentpole determinism
+ * counter-name slugs, and the tentpole determinism
  * contracts — byte-identical traces across sim-thread and
  * sweep-thread counts and reruns, with every simulated statistic
  * bit-identical whether a sink is attached or not.
@@ -148,35 +147,6 @@ TEST(GraphTrace, MetricSlugNormalizesLabels)
     EXPECT_EQ(metricSlug("Memory Dependency"), "memory_dependency");
     EXPECT_EQ(metricSlug("ALU/FPU busy"), "alu_fpu_busy");
     EXPECT_EQ(metricSlug("already_clean"), "already_clean");
-}
-
-// ---------------------------------------------------------------------------
-// Lane-schedule trace replay vs the IR ground truth
-
-TEST(GraphTrace, LaneScheduleMatchesOpGraphFinishTimes)
-{
-    const Graph g = smallGraph();
-    ModelConfig cfg;
-    GnnPipeline p(g, cfg);
-    FunctionalEngine sizer;
-    p.run(sizer);
-    const OpGraph &ops = p.opGraph();
-    std::vector<uint64_t> costs(ops.numNodes());
-    for (size_t i = 0; i < costs.size(); ++i)
-        costs[i] = 37 * i % 101 + 1;
-    for (const int lanes : {1, 2, 4}) {
-        const std::vector<uint64_t> want =
-            ops.finishTimes(costs, lanes);
-        const std::vector<LaneScheduleEntry> sched =
-            laneSchedule(ops, costs, lanes);
-        ASSERT_EQ(sched.size(), want.size());
-        for (const LaneScheduleEntry &e : sched) {
-            EXPECT_EQ(e.finish, want[e.node]) << "lanes " << lanes;
-            EXPECT_EQ(e.finish - e.start, costs[e.node]);
-            EXPECT_GE(e.lane, 0);
-            EXPECT_LT(e.lane, lanes);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

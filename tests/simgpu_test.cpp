@@ -134,7 +134,7 @@ TEST(DeviceAllocatorTest, StableAlignedAddresses)
 
 TEST(CacheModel, HitAfterFill)
 {
-    Cache c(CacheGeometry{1024, 128, 32, 2, false});
+    Cache c(CacheGeometry{1024, 128, 32, 2});
     EXPECT_FALSE(c.probe(0x1000, 1).hit);
     c.fill(0x1000, 1, 10);
     const CacheProbe p = c.probe(0x1000, 2);
@@ -144,7 +144,7 @@ TEST(CacheModel, HitAfterFill)
 
 TEST(CacheModel, SectorGranularity)
 {
-    Cache c(CacheGeometry{1024, 128, 32, 2, false});
+    Cache c(CacheGeometry{1024, 128, 32, 2});
     c.fill(0x1000, 1, 1);
     // Same line, different sector: miss until filled.
     EXPECT_FALSE(c.probe(0x1020, 2).hit);
@@ -156,7 +156,7 @@ TEST(CacheModel, SectorGranularity)
 TEST(CacheModel, LruEviction)
 {
     // 2-way, 4 sets (1024/128/2): addresses mapping to set 0.
-    Cache c(CacheGeometry{1024, 128, 32, 2, false});
+    Cache c(CacheGeometry{1024, 128, 32, 2});
     const uint64_t set_stride = 4 * 128; // numSets * lineBytes
     c.fill(0 * set_stride, 1, 1);
     c.fill(1 * set_stride, 2, 2);
@@ -169,7 +169,7 @@ TEST(CacheModel, LruEviction)
 
 TEST(CacheModel, FlushInvalidates)
 {
-    Cache c(CacheGeometry{1024, 128, 32, 2, false});
+    Cache c(CacheGeometry{1024, 128, 32, 2});
     c.fill(0x40, 1, 1);
     c.flush();
     EXPECT_FALSE(c.probe(0x40, 2).hit);

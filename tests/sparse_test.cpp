@@ -11,7 +11,6 @@
 
 #include "sparse/Convert.hpp"
 #include "sparse/Coo.hpp"
-#include "sparse/Csc.hpp"
 #include "sparse/Csr.hpp"
 #include "sparse/SparseOps.hpp"
 #include "tensor/Ops.hpp"
@@ -284,45 +283,3 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{7, 50, 7, 0.15},
                       std::tuple{25, 25, 25, 0.5},
                       std::tuple{16, 16, 16, 0.0}));
-
-TEST(Csc, CsrRoundTripPreservesValues)
-{
-    const CsrMatrix a = randomCsr(13, 17, 0.3, 20);
-    const CscMatrix csc = csrToCsc(a);
-    csc.checkInvariants();
-    EXPECT_EQ(csc.nnz(), a.nnz());
-    EXPECT_EQ(csc.rows(), 13);
-    EXPECT_EQ(csc.cols(), 17);
-    const CsrMatrix back = cscToCsr(csc);
-    EXPECT_LT(csrMaxAbsDiff(a, back), 1e-6);
-}
-
-TEST(Csc, ColumnAccessMatchesDense)
-{
-    const CsrMatrix a = randomCsr(9, 7, 0.4, 21);
-    const DenseMatrix d = csrToDense(a);
-    const CscMatrix csc = csrToCsc(a);
-    for (int64_t c = 0; c < 7; ++c) {
-        int64_t dense_nnz = 0;
-        for (int64_t r = 0; r < 9; ++r)
-            dense_nnz += d.at(r, c) != 0.0f;
-        EXPECT_EQ(csc.colNnz(c), dense_nnz) << "column " << c;
-        for (int64_t i = csc.colPtr[static_cast<size_t>(c)];
-             i < csc.colPtr[static_cast<size_t>(c) + 1]; ++i) {
-            EXPECT_EQ(csc.vals[static_cast<size_t>(i)],
-                      d.at(csc.rowIdx[static_cast<size_t>(i)], c));
-        }
-    }
-}
-
-TEST(Csc, EmptyColumnsAreValid)
-{
-    SparseBuilder b(4, 5);
-    b.add(0, 0, 1.0f);
-    b.add(3, 4, 2.0f);
-    const CscMatrix csc = csrToCsc(b.finish());
-    csc.checkInvariants();
-    EXPECT_EQ(csc.colNnz(1), 0);
-    EXPECT_EQ(csc.colNnz(2), 0);
-    EXPECT_EQ(csc.nnz(), 2);
-}

@@ -360,10 +360,10 @@ TEST(BenchSession, ComposesThreadBudgetAcrossLanes)
 
 TEST(Watchdog, CycleCeilingFailsPointWithTimeout)
 {
-    BenchSession::Options opts;
-    opts.pointCycleCeiling = 10; // every kernel exceeds this
-    const ResultStore store = BenchSession(opts).run(
-        SweepSpec{}.base(tinySimBase()));
+    UserParams base = tinySimBase();
+    base.cycleCeiling = 10; // every kernel exceeds this
+    const ResultStore store =
+        BenchSession().run(SweepSpec{}.base(base));
     ASSERT_EQ(store.size(), 1u);
     const SweepResult &r = store.at(0);
     EXPECT_FALSE(r.ok);
@@ -390,11 +390,12 @@ TEST(Watchdog, CycleCeilingFailsPointWithTimeout)
 
 TEST(Watchdog, UnsetCeilingLeavesRunsUntouched)
 {
-    const SweepSpec spec = SweepSpec{}.base(tinySimBase());
-    const ResultStore plain = BenchSession().run(spec);
-    BenchSession::Options opts;
-    opts.pointCycleCeiling = 0;
-    const ResultStore gated = BenchSession(opts).run(spec);
+    const ResultStore plain =
+        BenchSession().run(SweepSpec{}.base(tinySimBase()));
+    UserParams base = tinySimBase();
+    base.cycleCeiling = 0;
+    const ResultStore gated =
+        BenchSession().run(SweepSpec{}.base(base));
     ASSERT_TRUE(plain.at(0).ok);
     ASSERT_TRUE(gated.at(0).ok);
     EXPECT_EQ(
