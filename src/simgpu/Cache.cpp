@@ -1,96 +1,143 @@
 #include "simgpu/Cache.hpp"
 
+#include <algorithm>
+
 #include "util/Logging.hpp"
 
 namespace gsuite {
 
 Cache::Cache(const CacheGeometry &geometry)
-    : geo(geometry), numSets(geometry.numSets()),
-      lines(static_cast<size_t>(numSets) *
-            static_cast<size_t>(geometry.assoc))
+    : geo(geometry), sets(geometry.numSets()), assoc(geometry.assoc),
+      sectors(geometry.sectorsPerLine())
 {
-    panicIf(geo.sectorsPerLine() > kMaxSectors,
+    panicIf(sectors > kMaxSectors,
             "cache line has more sectors than the model supports");
+    const size_t ways =
+        static_cast<size_t>(sets) * static_cast<size_t>(assoc);
+    tags.resize(ways);
+    lastUse.resize(ways);
+    sectorValid.resize(ways);
+    sectorReady.resize(ways * static_cast<size_t>(sectors));
+    filled.resize(static_cast<size_t>(sets));
 }
 
-uint64_t
-Cache::tagOf(uint64_t addr) const
+Cache::Slot
+Cache::slotOf(uint64_t addr) const
 {
-    return addr / static_cast<uint64_t>(geo.lineBytes) /
-           static_cast<uint64_t>(numSets);
+    const uint64_t line = lineOf(addr);
+    const int set =
+        static_cast<int>(line & static_cast<uint64_t>(sets - 1));
+    return {static_cast<size_t>(set) * static_cast<size_t>(assoc), set,
+            line / static_cast<uint64_t>(sets),
+            static_cast<int>((addr % static_cast<uint64_t>(geo.lineBytes)) /
+                             static_cast<uint64_t>(geo.sectorBytes))};
 }
 
 int
-Cache::setOf(uint64_t addr) const
+Cache::find(const Slot &s, int *victim) const
 {
-    return static_cast<int>((addr / static_cast<uint64_t>(geo.lineBytes)) &
-                            static_cast<uint64_t>(numSets - 1));
-}
-
-int
-Cache::sectorOf(uint64_t addr) const
-{
-    return static_cast<int>((addr % static_cast<uint64_t>(geo.lineBytes)) /
-                            static_cast<uint64_t>(geo.sectorBytes));
-}
-
-Cache::Line *
-Cache::findLine(uint64_t addr)
-{
-    const uint64_t tag = tagOf(addr);
-    Line *set = &lines[static_cast<size_t>(setOf(addr)) *
-                       static_cast<size_t>(geo.assoc)];
-    for (int w = 0; w < geo.assoc; ++w) {
-        if (set[w].tag == tag)
-            return &set[w];
+    const uint64_t *tag = &tags[s.row];
+    const int k = filled[static_cast<size_t>(s.set)];
+    if (k < assoc) {
+        // Ways 1 ... k are valid; the next fill takes way k + 1, and
+        // way 0 last.
+        if (victim)
+            *victim = k + 1 < assoc ? k + 1 : 0;
+        for (int w = 1; w <= k; ++w)
+            if (tag[w] == s.tag)
+                return w;
+        return -1;
     }
-    return nullptr;
+    if (!victim) {
+        for (int w = 0; w < assoc; ++w)
+            if (tag[w] == s.tag)
+                return w;
+        return -1;
+    }
+    // A full set: the lowest way with the smallest lastUse, found in
+    // the same scan as the tag.
+    const uint64_t *use = &lastUse[s.row];
+    int lru = 0;
+    for (int w = 0; w < assoc; ++w) {
+        if (tag[w] == s.tag)
+            return w;
+        if (use[w] < use[lru])
+            lru = w;
+    }
+    *victim = lru;
+    return -1;
+}
+
+void
+Cache::install(const Slot &s, int w)
+{
+    const size_t i = s.row + static_cast<size_t>(w);
+    tags[i] = s.tag;
+    sectorValid[i] = 0;
+    int &k = filled[static_cast<size_t>(s.set)];
+    if (k < assoc)
+        ++k;
 }
 
 CacheProbe
 Cache::probe(uint64_t addr, uint64_t now)
 {
-    Line *line = findLine(addr);
-    if (!line)
+    const Slot s = slotOf(addr);
+    const int w = find(s, nullptr);
+    if (w < 0)
         return {};
-    const int sector = sectorOf(addr);
-    if (!(line->sectorValid & (1u << sector)))
+    const size_t i = s.row + static_cast<size_t>(w);
+    if (!(sectorValid[i] & (1u << s.sector)))
         return {};
-    line->lastUse = now;
-    return {true, line->sectorReady[sector]};
+    lastUse[i] = now;
+    return {true, sectorReady[i * static_cast<size_t>(sectors) +
+                              static_cast<size_t>(s.sector)]};
 }
 
 void
 Cache::fill(uint64_t addr, uint64_t now, uint64_t ready)
 {
-    Line *line = findLine(addr);
-    if (!line) {
-        // Evict the LRU way of the set.
-        Line *set = &lines[static_cast<size_t>(setOf(addr)) *
-                           static_cast<size_t>(geo.assoc)];
-        line = &set[0];
-        for (int w = 1; w < geo.assoc; ++w) {
-            if (set[w].tag == kInvalidTag) {
-                line = &set[w];
-                break;
-            }
-            if (set[w].lastUse < line->lastUse)
-                line = &set[w];
-        }
-        line->tag = tagOf(addr);
-        line->sectorValid = 0;
+    const Slot s = slotOf(addr);
+    int victim = 0;
+    int w = find(s, &victim);
+    if (w < 0) {
+        w = victim;
+        install(s, w);
     }
-    const int sector = sectorOf(addr);
-    line->sectorValid |= 1u << sector;
-    line->sectorReady[sector] = ready;
-    line->lastUse = now;
+    const size_t i = s.row + static_cast<size_t>(w);
+    sectorValid[i] |= static_cast<uint8_t>(1u << s.sector);
+    sectorReady[i * static_cast<size_t>(sectors) +
+                static_cast<size_t>(s.sector)] = ready;
+    lastUse[i] = now;
+}
+
+bool
+Cache::access(uint64_t addr, uint64_t now)
+{
+    const Slot s = slotOf(addr);
+    int victim = 0;
+    int w = find(s, &victim);
+    if (w < 0) {
+        w = victim;
+        install(s, w);
+    }
+    const size_t i = s.row + static_cast<size_t>(w);
+    lastUse[i] = now;
+    const uint8_t bit = static_cast<uint8_t>(1u << s.sector);
+    if (sectorValid[i] & bit)
+        return true;
+    sectorValid[i] |= bit;
+    sectorReady[i * static_cast<size_t>(sectors) +
+                static_cast<size_t>(s.sector)] = now;
+    return false;
 }
 
 void
 Cache::flush()
 {
-    for (auto &line : lines)
-        line = Line{};
+    // Ways past a set's fill count are never read, so forgetting the
+    // counts invalidates every line.
+    std::fill(filled.begin(), filled.end(), 0);
 }
 
 } // namespace gsuite

@@ -24,7 +24,18 @@ struct CacheProbe {
     uint64_t ready = 0; ///< cycle at which the sector's data is valid
 };
 
-/** One level of sectored, LRU, set-associative cache. */
+/**
+ * One level of sectored, LRU, set-associative cache.
+ *
+ * Each set is a contiguous row in each of four arrays (tags, lastUse,
+ * sector-valid bits, per-sector ready cycles) plus a count of the
+ * ways filled since the last flush. Lines are only ever invalidated
+ * all at once by flush(), so a set fills its ways in a fixed order:
+ * 1, 2, ..., assoc-1 and then 0. Once every way is valid the victim
+ * is the lowest way with the smallest lastUse. Accesses to different
+ * sets touch disjoint memory, so threads may share one cache as long
+ * as each set is used by one thread at a time.
+ */
 class Cache
 {
   public:
@@ -44,30 +55,62 @@ class Cache
      */
     void fill(uint64_t addr, uint64_t now, uint64_t ready);
 
+    /**
+     * probe(addr, now) and, on a miss, fill(addr, now, now), with one
+     * scan of the set. Returns whether the probe hit.
+     */
+    bool access(uint64_t addr, uint64_t now);
+
     /** Invalidate everything (between kernel launches). */
     void flush();
+
+    /** Set that @p addr maps to, in [0, numSets()). */
+    int
+    setOf(uint64_t addr) const
+    {
+        return static_cast<int>(lineOf(addr) &
+                                static_cast<uint64_t>(sets - 1));
+    }
+    int numSets() const { return sets; }
 
     const CacheGeometry &geometry() const { return geo; }
 
   private:
-    static constexpr uint64_t kInvalidTag = ~uint64_t{0};
     static constexpr int kMaxSectors = 8;
 
-    struct Line {
-        uint64_t tag = kInvalidTag;
-        uint32_t sectorValid = 0;
-        uint64_t sectorReady[kMaxSectors] = {};
-        uint64_t lastUse = 0;
-    };
-
     CacheGeometry geo;
-    int numSets;
-    std::vector<Line> lines; ///< numSets x assoc
+    int sets;
+    int assoc;
+    int sectors; ///< sectors per line
+    std::vector<uint64_t> tags;        ///< sets x assoc
+    std::vector<uint64_t> lastUse;     ///< sets x assoc
+    std::vector<uint8_t> sectorValid;  ///< sets x assoc, one bit each
+    std::vector<uint64_t> sectorReady; ///< sets x assoc x sectors
+    /** Ways filled since the last flush, per set (0 ... assoc). */
+    std::vector<int> filled;
 
-    uint64_t tagOf(uint64_t addr) const;
-    int setOf(uint64_t addr) const;
-    int sectorOf(uint64_t addr) const;
-    Line *findLine(uint64_t addr);
+    uint64_t
+    lineOf(uint64_t addr) const
+    {
+        return addr / static_cast<uint64_t>(geo.lineBytes);
+    }
+
+    /** Where the sector containing an address lives. */
+    struct Slot {
+        size_t row;   ///< first way of the set in the way arrays
+        int set;
+        uint64_t tag;
+        int sector;
+    };
+    Slot slotOf(uint64_t addr) const;
+
+    /**
+     * Way holding @p s's tag, or -1. When the tag is absent, *victim
+     * receives the way a fill replaces.
+     */
+    int find(const Slot &s, int *victim) const;
+    /** Install @p s's line over way @p w (its sectors invalidated). */
+    void install(const Slot &s, int w);
 };
 
 } // namespace gsuite

@@ -23,6 +23,8 @@
 #include "simgpu/Trace.hpp"
 #include "util/Random.hpp"
 
+#include "LineCache.hpp"
+
 using namespace gsuite;
 
 namespace {
@@ -173,6 +175,73 @@ TEST(CacheModel, FlushInvalidates)
     c.fill(0x40, 1, 1);
     c.flush();
     EXPECT_FALSE(c.probe(0x40, 2).hit);
+}
+
+TEST(CacheModel, MatchesLineStructOracleOnRandomSequences)
+{
+    // The flat per-set rows must make every decision of the
+    // one-struct-per-line model: equal hits and ready cycles over
+    // seeded probe / fill / access / flush sequences, with the
+    // repeated and backward-stepping times the simulator's per-sector
+    // issue cycles produce.
+    Rng rng(29);
+    int geometries = 0;
+    for (const int assoc : {1, 2, 3, 4, 7, 16, 24, 64})
+        for (const int sectors : {1, 2, 3, 4, 8})
+            for (const int sets : {1, 2, 8, 32}) {
+                const int line_bytes = sectors * 32;
+                const CacheGeometry g{static_cast<uint64_t>(sets) *
+                                          static_cast<uint64_t>(assoc) *
+                                          static_cast<uint64_t>(line_bytes),
+                                      line_bytes, 32, assoc};
+                ASSERT_EQ(g.numSets(), sets);
+                Cache cache(g);
+                LineCache oracle(g);
+                // About three times as many lines as the cache holds.
+                const uint64_t lines =
+                    static_cast<uint64_t>(sets * assoc) * 3 + 1;
+                int64_t now = 2;
+                for (int op = 0; op < 3000; ++op) {
+                    const uint64_t addr =
+                        rng.nextBelow(lines) *
+                            static_cast<uint64_t>(line_bytes) +
+                        rng.nextBelow(static_cast<uint64_t>(line_bytes));
+                    now = std::max<int64_t>(
+                        0, now + static_cast<int64_t>(rng.nextBelow(7)) - 2);
+                    const uint64_t t = static_cast<uint64_t>(now);
+                    const uint64_t kind = rng.nextBelow(100);
+                    if (kind < 40) {
+                        const CacheProbe want = oracle.probe(addr, t);
+                        const CacheProbe got = cache.probe(addr, t);
+                        ASSERT_EQ(got.hit, want.hit)
+                            << "probe " << op << " " << assoc << "-way";
+                        ASSERT_EQ(got.ready, want.ready) << "probe " << op;
+                    } else if (kind < 70) {
+                        const uint64_t ready = t + rng.nextBelow(300);
+                        oracle.fill(addr, t, ready);
+                        cache.fill(addr, t, ready);
+                    } else if (kind < 99) {
+                        const bool want = oracle.probe(addr, t).hit;
+                        if (!want)
+                            oracle.fill(addr, t, t);
+                        ASSERT_EQ(cache.access(addr, t), want)
+                            << "access " << op << " " << assoc << "-way";
+                    } else {
+                        oracle.flush();
+                        cache.flush();
+                    }
+                }
+                // Every sector of every line ends in the same state.
+                const uint64_t t = static_cast<uint64_t>(now) + 1;
+                for (uint64_t a = 0; a < lines * line_bytes; a += 32) {
+                    const CacheProbe want = oracle.probe(a, t);
+                    const CacheProbe got = cache.probe(a, t);
+                    ASSERT_EQ(got.hit, want.hit) << "final " << a;
+                    ASSERT_EQ(got.ready, want.ready) << "final " << a;
+                }
+                ++geometries;
+            }
+    EXPECT_EQ(geometries, 160);
 }
 
 TEST(MshrTable, MergeReusesEntryAndRevertsToPending)
