@@ -138,7 +138,7 @@ FunctionalEngine::measureKernel(size_t recordIndex, Kernel &kernel,
         return;
     const KernelLaunch launch = kernel.makeLaunch(kernelAlloc);
     HwProfiler prof(opts.hwConfig);
-    records[recordIndex].hw = prof.profile(launch);
+    records[recordIndex].hw = prof.profile(launch, &workers);
     records[recordIndex].hasHw = true;
 }
 
@@ -169,7 +169,7 @@ SimEngine::measureKernel(size_t recordIndex, Kernel &kernel,
 
     if (opts.profileCaches) {
         HwProfiler prof(opts.hwConfig);
-        rec.hw = prof.profile(launch);
+        rec.hw = prof.profile(launch, &workers);
         rec.hasHw = true;
     }
 

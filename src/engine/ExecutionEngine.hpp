@@ -180,16 +180,17 @@ class ExecutionEngine
     TraceSink *trace = nullptr;
     /**
      * The engine's worker lanes: runKernel() hands them to every
-     * kernel; SimEngine::sync() simulates deferred launches on them.
+     * kernel and measureKernel() to the cache profiler;
+     * SimEngine::sync() simulates deferred launches on them.
      */
     ThreadPool workers;
 };
 
 /**
  * Host-execution engine with optional hardware cache profiling. Its
- * kernels run on hwConfig.numThreads worker lanes (0 = auto: the
- * host's lanes), the profiler's own thread budget: profiler replay
- * and kernel execution never overlap in time.
+ * kernels execute, and the profiler replays each launch, on
+ * hwConfig.numThreads worker lanes (0 = auto: the host's lanes),
+ * never at the same time.
  */
 class FunctionalEngine : public ExecutionEngine
 {
@@ -226,8 +227,9 @@ class SimEngine : public ExecutionEngine
          * independent of launch order (every launch starts from a
          * flushed device), so results are identical to serial
          * simulation. 1 = inline/serial; 0 = auto: min(4, host
-         * lanes). The same lanes execute the kernels, which finish
-         * before any deferred launch simulates.
+         * lanes). The same lanes execute the kernels and replay the
+         * cache profiler, which finish before any deferred launch
+         * simulates.
          */
         int parallelLaunches = 1;
     };

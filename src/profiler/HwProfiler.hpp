@@ -21,6 +21,8 @@
 
 namespace gsuite {
 
+class ThreadPool;
+
 /** Configuration of the hardware cache model. */
 struct HwProfilerConfig {
     /**
@@ -50,13 +52,10 @@ struct HwProfilerConfig {
     int64_t maxCtas = 2048;
 
     /**
-     * Worker threads replaying per-SM L1 slices (0 = auto,
-     * 1 = serial); FunctionalEngine also executes its kernels on
-     * this many lanes (0 = host lanes). Results are bit-identical
-     * for every value: each
-     * modeled SM's L1 only ever sees its own CTAs' accesses in CTA
-     * order, and the shared L2 is replayed afterwards in the global
-     * CTA order the serial replay uses.
+     * Lanes of the one-argument profile() (0 = auto: host lanes, at
+     * most numSms; 1 = serial). FunctionalEngine builds its worker
+     * pool with this many lanes (0 = host lanes) and replays on it.
+     * Results are bit-identical for every value.
      */
     int numThreads = 1;
 };
@@ -90,10 +89,27 @@ class HwProfiler
 
     /**
      * Replay @p launch's global-memory accesses through the hardware
-     * cache model and return hit rates. CTAs are distributed
-     * round-robin across the modeled SMs' L1s.
+     * cache model and return hit rates, on a pool of
+     * HwProfilerConfig::numThreads lanes built for the call.
      */
     HwProfileResult profile(const KernelLaunch &launch);
+
+    /**
+     * The same replay on the lanes of the caller's @p pool (null:
+     * the calling thread), which must be idle for the call; the
+     * engines pass their worker pool. CTAs are distributed
+     * round-robin across the modeled SMs' L1s and replayed in
+     * windows of numSms x 32 CTAs. In each window one lane replays
+     * one SM's L1 at a time, in its CTAs' order, and files the
+     * sectors that reach L2 under the L2 part (a contiguous range of
+     * sets, one part per lane) that owns their set. Then each lane
+     * replays its part in global CTA order, stamping each access
+     * with the serial replay's L2 clock. Every cache therefore sees
+     * the serial replay's accesses, order and timestamps, and the
+     * counters are bit-identical for any lane count.
+     */
+    HwProfileResult profile(const KernelLaunch &launch,
+                            ThreadPool *pool);
 
   private:
     HwProfilerConfig cfg;

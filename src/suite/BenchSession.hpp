@@ -52,8 +52,8 @@ class BenchSession
 
         /**
          * Total worker budget, split over sweep lanes first: each
-         * point's auto launch lanes and auto simThreads (profiler
-         * replay) get budget / lanes.
+         * point's auto launch lanes and auto simThreads (functional
+         * engine lanes) get budget / lanes.
          * 0 = auto: max(lanes, host lanes).
          */
         int threadBudget = 0;

@@ -32,7 +32,6 @@ AbstractionModule::makeEngine(const UserParams &params,
     SimEngine::Options opts;
     opts.gpu = gpu;
     opts.profileCaches = params.profileCaches;
-    opts.hwConfig.numThreads = params.simThreads;
     opts.hwConfig.numSms = gpu.numSms;
     opts.hwConfig.smSampleFactor = gpu.smSampleFactor;
     opts.hwConfig.maxCtas = params.maxCtas;

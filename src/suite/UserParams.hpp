@@ -91,12 +91,13 @@ struct UserParams {
     bool profileCaches = false;
 
     /**
-     * Worker threads for HwProfiler cache replay, and on the
-     * functional engine the lanes its kernels execute on (0 = auto:
-     * host lanes; in a multi-lane BenchSession, the per-lane budget
-     * share). Replay and kernel execution never overlap. A
-     * simulated launch always runs on one thread. Statistics and
-     * kernel outputs are bit-identical for every value.
+     * Worker lanes of the functional engine: its kernels execute and
+     * its cache profiler replays on them, never at the same time
+     * (0 = auto: host lanes; in a multi-lane BenchSession, the
+     * per-lane budget share). The sim engine does both on its launch
+     * lanes (simParallelLaunches) instead. A simulated launch always
+     * runs on one thread. Statistics and kernel outputs are
+     * bit-identical for every value.
      */
     int simThreads = 0;
     /**

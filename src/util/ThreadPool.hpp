@@ -1,9 +1,9 @@
 /**
  * @file
  * A persistent worker pool for the embarrassingly parallel levels:
- * an engine's worker lanes (SimEngine launch lanes, which also run
- * its kernels' functional execution, and FunctionalEngine's kernel
- * lanes), BenchSession sweep lanes and HwProfiler replay threads.
+ * an engine's worker lanes (SimEngine launch lanes and
+ * FunctionalEngine's kernel lanes, which also execute the kernels
+ * and replay HwProfiler) and BenchSession sweep lanes.
  * Workers stay alive across invocations, so each job pays one
  * condition-variable wakeup. forEachRowRange() splits a functional
  * kernel's output rows over a pool's lanes.

@@ -14,13 +14,17 @@
 
 #include "engine/ExecutionEngine.hpp"
 #include "graph/Generators.hpp"
+#include "kernels/Elementwise.hpp"
 #include "kernels/IndexSelect.hpp"
 #include "kernels/Scatter.hpp"
 #include "kernels/Sgemm.hpp"
 #include "models/GnnModel.hpp"
 #include "profiler/HwProfiler.hpp"
+#include "simgpu/MemorySystem.hpp"
 #include "util/Random.hpp"
 #include "util/ThreadPool.hpp"
+
+#include "LineCache.hpp"
 
 using namespace gsuite;
 
@@ -86,6 +90,68 @@ laneEngine(bool sim, int lanes)
     opts.hwConfig = hw;
     opts.parallelLaunches = lanes;
     return std::make_unique<SimEngine>(opts);
+}
+
+/**
+ * The profiler's replay as one serial loop over the CTAs: every
+ * sector goes through its SM's L1 and, if it reaches L2, at once
+ * through the shared L2, all on the one-struct-per-line cache model.
+ */
+HwProfileResult
+serialReplay(const KernelLaunch &launch, const HwProfilerConfig &cfg)
+{
+    const int64_t ctas = std::min(
+        launch.dims.ctaShare(cfg.smSampleFactor), cfg.maxCtas);
+    const uint64_t sector = static_cast<uint64_t>(cfg.l1.sectorBytes);
+    std::vector<LineCache> l1(static_cast<size_t>(cfg.numSms),
+                              LineCache(cfg.l1));
+    std::vector<uint64_t> l1_now(static_cast<size_t>(cfg.numSms), 0);
+    LineCache l2(cfg.l2);
+    uint64_t l2_now = 0;
+    HwProfileResult res;
+    WarpTrace trace;
+    for (int64_t cta = 0; cta < ctas; ++cta) {
+        const size_t sm = static_cast<size_t>(cta % cfg.numSms);
+        for (int w = 0; w < launch.dims.warpsPerCta(); ++w) {
+            WarpTraceStream stream = launch.makeStream(cta, w);
+            uint8_t reg_cursor = 0;
+            bool done = false;
+            while (!done) {
+                trace.clear();
+                TraceBuilder tb(trace, 512, reg_cursor);
+                done = stream(tb);
+                for (const SimInstr &in : trace.instrs) {
+                    if (!isGlobalMemOp(in.op))
+                        continue;
+                    uint64_t sectors[32];
+                    const int ns = coalesceSectors(trace.addrsOf(in),
+                                                   sector, sectors);
+                    for (int i = 0; i < ns; ++i) {
+                        const uint64_t addr = sectors[i] * sector;
+                        const uint64_t now = ++l1_now[sm];
+                        if (in.op != Op::ATOM) {
+                            const bool hit =
+                                l1[sm].probe(addr, now).hit;
+                            ++(hit ? res.l1Hits : res.l1Misses);
+                            if (in.op == Op::LDG) {
+                                if (hit)
+                                    continue;
+                                l1[sm].fill(addr, now, now);
+                            }
+                        }
+                        ++l2_now;
+                        if (l2.probe(addr, l2_now).hit) {
+                            ++res.l2Hits;
+                        } else {
+                            ++res.l2Misses;
+                            l2.fill(addr, l2_now, l2_now);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    return res;
 }
 
 } // namespace
@@ -298,30 +364,103 @@ TEST(HwProfilerTest, SamplingLimitsCtas)
 
 TEST(HwProfilerTest, ParallelReplayIsBitIdentical)
 {
-    // The slice-parallel replay (per-SM L1 lanes + ordered shared-L2
-    // pass) must reproduce the serial replay's counters exactly, for
-    // a kernel mix with loads, stores and atomics.
-    const Graph g = smallGraph(9);
+    // The window replay (one SM's L1 per lane, then one range of L2
+    // sets per lane) must reproduce a serial CTA-by-CTA replay on the
+    // one-struct-per-line cache model exactly, at every lane count,
+    // for loads, stores and atomics. Three SMs and no CTA sampling
+    // give windows of 96 CTAs: every launch (375-750 CTAs) spans
+    // several and ends in a partial one, and its buffers span every
+    // L2 set. The smaller caches make both levels evict.
+    Rng rng(9);
+    Graph g = generateErdosRenyi(2000, 12000, rng);
+    fillFeatures(g, 16, rng);
     DenseMatrix msg;
     IndexSelectKernel gather("is", g.features, g.src, msg);
     gather.execute();
-    DenseMatrix out(g.numNodes(), g.featureLen());
-    ScatterKernel k("sc", msg, g.dst, out);
-    k.execute();
+    DenseMatrix agg(g.numNodes(), g.featureLen());
+    ScatterKernel scatter("sc", msg, g.dst, agg);
+    scatter.execute();
+    DenseMatrix weight(16, 48), h;
+    weight.fillUniform(rng, -1, 1);
+    SgemmKernel sgemm("sg", agg, weight, h);
+    sgemm.execute();
+    DenseMatrix act;
+    ElementwiseKernel relu("relu", ElementwiseKernel::EwOp::Relu, h,
+                           act);
+    relu.execute();
     DeviceAllocator alloc;
-    const KernelLaunch l = k.makeLaunch(alloc);
+    // Plus loads, stores and atomics of random sectors of 48 lines:
+    // consecutive L2 accesses often fall in one set of the tiny L2
+    // below and come back just as their set evicts them.
+    KernelLaunch mixed;
+    mixed.name = "mixed";
+    mixed.dims.numCtas = 400;
+    mixed.dims.threadsPerCta = 64;
+    mixed.streamTrace = [](int64_t cta, int warp) -> WarpTraceStream {
+        return [cta, warp](TraceBuilder &b) {
+            Rng r(static_cast<uint64_t>(cta) * 131 +
+                  static_cast<uint64_t>(warp));
+            uint64_t addrs[8];
+            for (const Op op : {Op::LDG, Op::LDG, Op::STG, Op::LDG,
+                                Op::ATOM, Op::LDG}) {
+                for (uint64_t &a : addrs)
+                    a = r.nextBelow(48) * 128 + r.nextBelow(4) * 32;
+                if (op == Op::LDG)
+                    b.load(addrs);
+                else if (op == Op::STG)
+                    b.store(addrs, 0);
+                else
+                    b.atomic(addrs, 0);
+            }
+            b.exit();
+            return true;
+        };
+    };
+    const std::vector<KernelLaunch> launches = {
+        gather.makeLaunch(alloc), scatter.makeLaunch(alloc),
+        sgemm.makeLaunch(alloc), relu.makeLaunch(alloc), mixed};
 
-    HwProfilerConfig serial_cfg;
-    serial_cfg.numThreads = 1;
-    HwProfilerConfig parallel_cfg;
-    parallel_cfg.numThreads = 4;
-    const HwProfileResult serial =
-        HwProfiler(serial_cfg).profile(l);
-    const HwProfileResult parallel =
-        HwProfiler(parallel_cfg).profile(l);
-    EXPECT_GT(serial.l1Hits + serial.l1Misses, 0u);
-    EXPECT_EQ(serial.l1Hits, parallel.l1Hits);
-    EXPECT_EQ(serial.l1Misses, parallel.l1Misses);
-    EXPECT_EQ(serial.l2Hits, parallel.l2Hits);
-    EXPECT_EQ(serial.l2Misses, parallel.l2Misses);
+    HwProfilerConfig volta;
+    volta.numSms = 3;
+    volta.smSampleFactor = 1;
+    HwProfilerConfig small = volta;
+    small.l1 = CacheGeometry{8 * 1024, 128, 32, 4};
+    small.l2 = CacheGeometry{64 * 1024, 128, 128, 8};
+    // Four 8-way L2 sets, one per part at four lanes, behind a
+    // 16-line L1.
+    HwProfilerConfig tiny = volta;
+    tiny.l1 = CacheGeometry{2 * 1024, 128, 32, 4};
+    tiny.l2 = CacheGeometry{4 * 1024, 128, 128, 8};
+    std::vector<std::unique_ptr<ThreadPool>> pools;
+    for (int lanes = 1; lanes <= 4; ++lanes)
+        pools.push_back(std::make_unique<ThreadPool>(lanes));
+    const auto expectEqual = [](const HwProfileResult &got,
+                                const HwProfileResult &want,
+                                const std::string &at) {
+        EXPECT_EQ(got.l1Hits, want.l1Hits) << at;
+        EXPECT_EQ(got.l1Misses, want.l1Misses) << at;
+        EXPECT_EQ(got.l2Hits, want.l2Hits) << at;
+        EXPECT_EQ(got.l2Misses, want.l2Misses) << at;
+    };
+    for (HwProfilerConfig cfg : {volta, small, tiny}) {
+        for (const KernelLaunch &l : launches) {
+            ASSERT_GT(l.dims.numCtas, 3 * 96) << l.name;
+            const HwProfileResult want = serialReplay(l, cfg);
+            const std::string at =
+                l.name + " l2 " + std::to_string(cfg.l2.sizeBytes);
+            EXPECT_GT(want.l1Hits + want.l1Misses, 0u) << at;
+            EXPECT_GT(want.l2Hits, 0u) << at;
+            EXPECT_GT(want.l2Misses, 0u) << at;
+            expectEqual(HwProfiler(cfg).profile(l, nullptr), want,
+                        at + " serial");
+            for (const auto &pool : pools)
+                expectEqual(HwProfiler(cfg).profile(l, pool.get()),
+                            want,
+                            at + " lanes " +
+                                std::to_string(pool->lanes()));
+            cfg.numThreads = 4;
+            expectEqual(HwProfiler(cfg).profile(l), want,
+                        at + " own pool");
+        }
+    }
 }
