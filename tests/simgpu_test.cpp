@@ -849,6 +849,73 @@ TEST(Simulator, MaxCtasCapLimitsSimulatedCtas)
     EXPECT_EQ(st.ctasExpected, 16);
 }
 
+namespace {
+
+/**
+ * One 32-thread CTA: a one-lane load, then a 32-sector load that
+ * depends on it, then an ALU op that waits for the second load.
+ */
+KernelLaunch
+dependentLoadsLaunch()
+{
+    return uniformLaunch("slow", 1, 32, [](TraceBuilder &b) {
+        std::array<uint64_t, 32> a{};
+        a[0] = 0x100000;
+        const Reg r = b.load({a.data(), 1});
+        for (int i = 0; i < 32; ++i)
+            a[static_cast<size_t>(i)] =
+                0x200000ull + 4096ull * static_cast<uint64_t>(i);
+        b.alu(Op::FP32, b.load({a.data(), 32}, r));
+    });
+}
+
+} // namespace
+
+TEST(Simulator, CycleLimitTruncatesAndWarnsOnce)
+{
+    // Each load waits 30 M cycles for DRAM, so the ALU op is still
+    // waiting when the clock reaches the 50 M-cycle limit.
+    GpuConfig cfg = tinyNoSampling();
+    cfg.dramLatency = 30'000'000;
+    GpuSimulator sim(cfg);
+    ::testing::internal::CaptureStderr();
+    const KernelStats st = sim.run(dependentLoadsLaunch());
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(st.cycles, 50'000'000u);
+    const StatSet s = st.toStatSet();
+    EXPECT_EQ(s.get("cycles"), 50'000'000.0);
+    ASSERT_TRUE(s.has("ctas_simulated"));
+    EXPECT_EQ(s.get("ctas_simulated"), 1.0);
+    const std::string warning =
+        "hit the 50000000-cycle simulation limit after 1 of 1 CTAs";
+    const size_t at = err.find(warning);
+    ASSERT_NE(at, std::string::npos) << err;
+    EXPECT_EQ(err.find(warning, at + 1), std::string::npos) << err;
+}
+
+TEST(Simulator, CycleLimitDrainsAHalfAdmittedAccess)
+{
+    // A one-entry DRAM queue admits one sector per cycle, so the
+    // second load's 32 sectors take tens of cycles to admit. DRAM
+    // latencies 40-160 cycles short of the limit issue that load
+    // just before the clock stops, some of them with sectors still
+    // unadmitted, which the drain after the loop must resolve before
+    // the parked access folds into the counters.
+    for (uint64_t early = 40; early <= 160; early += 4) {
+        GpuConfig cfg = tinyNoSampling();
+        cfg.dramLatency = static_cast<int>(50'000'000 - early);
+        cfg.dram.schedQueueSize = 1;
+        GpuSimulator sim(cfg);
+        ::testing::internal::CaptureStderr();
+        const KernelStats st = sim.run(dependentLoadsLaunch());
+        ::testing::internal::GetCapturedStderr();
+        EXPECT_EQ(st.cycles, 50'000'000u) << early;
+        // Every sector that missed L1 is counted at L2 as well.
+        EXPECT_EQ(st.l1Misses, st.l2Misses) << early;
+        EXPECT_TRUE(st.l1Misses == 1 || st.l1Misses == 33) << early;
+    }
+}
+
 TEST(Simulator, StatSetExportHasKeyMetrics)
 {
     GpuSimulator sim(tinyNoSampling());

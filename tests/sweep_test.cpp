@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -388,16 +389,37 @@ TEST(Watchdog, CycleCeilingFailsPointWithTimeout)
               std::string::npos);
 }
 
-TEST(Watchdog, UnsetCeilingLeavesRunsUntouched)
+TEST(Watchdog, UntrippedCeilingLeavesRunsUntouched)
 {
+    // A ceiling twice the longest kernel's cycle count never trips,
+    // so every counter of every kernel equals the unset run's.
     const ResultStore plain =
         BenchSession().run(SweepSpec{}.base(tinySimBase()));
+    ASSERT_TRUE(plain.at(0).ok);
+    const std::vector<KernelRecord> &want =
+        plain.at(0).outcome.timeline;
+    ASSERT_FALSE(want.empty());
+    uint64_t longest = 0;
+    for (const KernelRecord &rec : want) {
+        ASSERT_TRUE(rec.hasSim) << rec.name;
+        longest = std::max(longest, rec.sim.cycles);
+    }
     UserParams base = tinySimBase();
-    base.cycleCeiling = 0;
+    base.cycleCeiling = 2 * longest;
     const ResultStore gated =
         BenchSession().run(SweepSpec{}.base(base));
-    ASSERT_TRUE(plain.at(0).ok);
     ASSERT_TRUE(gated.at(0).ok);
+    const std::vector<KernelRecord> &got =
+        gated.at(0).outcome.timeline;
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+        const StatSet a = want[i].sim.toStatSet();
+        const StatSet b = got[i].sim.toStatSet();
+        ASSERT_EQ(a.names(), b.names()) << want[i].name;
+        for (const std::string &name : a.names())
+            EXPECT_EQ(a.get(name), b.get(name))
+                << want[i].name << " " << name;
+    }
     EXPECT_EQ(
         plain.at(0).outcome.metrics.at("graph_makespan_cycles"),
         gated.at(0).outcome.metrics.at("graph_makespan_cycles"));
