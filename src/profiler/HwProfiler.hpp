@@ -45,9 +45,12 @@ struct HwProfilerConfig {
     CacheGeometry l1{128 * 1024, 128, 32, 64};
     /**
      * Volta L2: 6 MB; modeled with full-line fills (sectorBytes ==
-     * lineBytes), the behaviour nvprof's l2 counters reflect.
+     * lineBytes), the behaviour nvprof's l2 counters reflect. 24
+     * ways give 2,048 sets, a power of two as Cache requires (16
+     * ways would give 3,072); the v100-sim preset's L2 is 24-way
+     * too.
      */
-    CacheGeometry l2{6 * 1024 * 1024, 128, 128, 16};
+    CacheGeometry l2{6 * 1024 * 1024, 128, 128, 24};
     /** CTA sampling cap, matching the simulator's default. */
     int64_t maxCtas = 2048;
 

@@ -1,6 +1,7 @@
 #include "simgpu/Cache.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/Logging.hpp"
 
@@ -10,8 +11,13 @@ Cache::Cache(const CacheGeometry &geometry)
     : geo(geometry), sets(geometry.numSets()), assoc(geometry.assoc),
       sectors(geometry.sectorsPerLine())
 {
+    // The set index is the line address's low bits and the tag the
+    // rest; any other set count would alias distinct lines.
+    panicIf(sets <= 0 || !std::has_single_bit(static_cast<unsigned>(sets)),
+            "cache set count is not a power of two");
     panicIf(sectors > kMaxSectors,
             "cache line has more sectors than the model supports");
+    setBits = std::countr_zero(static_cast<unsigned>(sets));
     const size_t ways =
         static_cast<size_t>(sets) * static_cast<size_t>(assoc);
     tags.resize(ways);
@@ -28,7 +34,7 @@ Cache::slotOf(uint64_t addr) const
     const int set =
         static_cast<int>(line & static_cast<uint64_t>(sets - 1));
     return {static_cast<size_t>(set) * static_cast<size_t>(assoc), set,
-            line / static_cast<uint64_t>(sets),
+            line >> setBits,
             static_cast<int>((addr % static_cast<uint64_t>(geo.lineBytes)) /
                              static_cast<uint64_t>(geo.sectorBytes))};
 }

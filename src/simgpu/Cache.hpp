@@ -39,6 +39,7 @@ struct CacheProbe {
 class Cache
 {
   public:
+    /** panic()s unless @p geometry's set count is a power of two. */
     explicit Cache(const CacheGeometry &geometry);
 
     /**
@@ -79,7 +80,8 @@ class Cache
     static constexpr int kMaxSectors = 8;
 
     CacheGeometry geo;
-    int sets;
+    int sets; ///< a power of two
+    int setBits = 0; ///< log2(sets)
     int assoc;
     int sectors; ///< sectors per line
     std::vector<uint64_t> tags;        ///< sets x assoc

@@ -362,6 +362,29 @@ TEST(HwProfilerTest, SamplingLimitsCtas)
     EXPECT_LT(rs.l1Hits + rs.l1Misses, rb.l1Hits + rb.l1Misses);
 }
 
+TEST(HwProfilerTest, LinesOneTwentyEightKiBApartDoNotAliasInL2)
+{
+    // Two loads 128 KiB (1,024 lines) apart: with 3,072 L2 sets the
+    // set mask dropped bit 10 of the line address and the second
+    // load hit the first one's line. Both must miss.
+    KernelLaunch l;
+    l.name = "alias";
+    l.dims.numCtas = 1;
+    l.dims.threadsPerCta = 32;
+    l.streamTrace = [](int64_t, int) -> WarpTraceStream {
+        return [](TraceBuilder &b) {
+            for (const uint64_t addr : {uint64_t{0}, uint64_t{131072}})
+                b.load({&addr, 1});
+            b.exit();
+            return true;
+        };
+    };
+    const HwProfileResult res = HwProfiler().profile(l);
+    EXPECT_EQ(res.l1Misses, 2u);
+    EXPECT_EQ(res.l2Hits, 0u);
+    EXPECT_EQ(res.l2Misses, 2u);
+}
+
 TEST(HwProfilerTest, ParallelReplayIsBitIdentical)
 {
     // The window replay (one SM's L1 per lane, then one range of L2

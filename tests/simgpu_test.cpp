@@ -177,6 +177,19 @@ TEST(CacheModel, FlushInvalidates)
     EXPECT_FALSE(c.probe(0x40, 2).hit);
 }
 
+TEST(CacheModel, NonPowerOfTwoSetCountPanics)
+{
+    // 6 MB of 16-way 128 B lines is 3,072 sets: masking the line
+    // address with 3,071 would never use 1,024 sets and would alias
+    // lines 1,024 lines apart.
+    EXPECT_DEATH(Cache(CacheGeometry{6 * 1024 * 1024, 128, 128, 16}),
+                 "not a power of two");
+    EXPECT_DEATH(Cache(CacheGeometry{3 * 4 * 128, 128, 32, 4}),
+                 "not a power of two");
+    EXPECT_DEATH(Cache(CacheGeometry{64, 128, 32, 4}),
+                 "not a power of two");
+}
+
 TEST(CacheModel, MatchesLineStructOracleOnRandomSequences)
 {
     // The flat per-set rows must make every decision of the
