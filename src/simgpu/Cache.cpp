@@ -74,15 +74,20 @@ Cache::find(const Slot &s, int *victim) const
     return -1;
 }
 
-void
-Cache::install(const Slot &s, int w)
+size_t
+Cache::wayFor(const Slot &s)
 {
-    const size_t i = s.row + static_cast<size_t>(w);
+    int victim = 0;
+    const int w = find(s, &victim);
+    if (w >= 0)
+        return s.row + static_cast<size_t>(w);
+    const size_t i = s.row + static_cast<size_t>(victim);
     tags[i] = s.tag;
     sectorValid[i] = 0;
     int &k = filled[static_cast<size_t>(s.set)];
     if (k < assoc)
         ++k;
+    return i;
 }
 
 CacheProbe
@@ -104,13 +109,7 @@ void
 Cache::fill(uint64_t addr, uint64_t now, uint64_t ready)
 {
     const Slot s = slotOf(addr);
-    int victim = 0;
-    int w = find(s, &victim);
-    if (w < 0) {
-        w = victim;
-        install(s, w);
-    }
-    const size_t i = s.row + static_cast<size_t>(w);
+    const size_t i = wayFor(s);
     sectorValid[i] |= static_cast<uint8_t>(1u << s.sector);
     sectorReady[i * static_cast<size_t>(sectors) +
                 static_cast<size_t>(s.sector)] = ready;
@@ -121,13 +120,7 @@ bool
 Cache::access(uint64_t addr, uint64_t now)
 {
     const Slot s = slotOf(addr);
-    int victim = 0;
-    int w = find(s, &victim);
-    if (w < 0) {
-        w = victim;
-        install(s, w);
-    }
-    const size_t i = s.row + static_cast<size_t>(w);
+    const size_t i = wayFor(s);
     lastUse[i] = now;
     const uint8_t bit = static_cast<uint8_t>(1u << s.sector);
     if (sectorValid[i] & bit)

@@ -111,8 +111,11 @@ class Cache
      * receives the way a fill replaces.
      */
     int find(const Slot &s, int *victim) const;
-    /** Install @p s's line over way @p w (its sectors invalidated). */
-    void install(const Slot &s, int w);
+    /**
+     * Index in the way arrays of @p s's line, installed over the
+     * victim (all sectors invalid) when absent.
+     */
+    size_t wayFor(const Slot &s);
 };
 
 } // namespace gsuite
