@@ -102,7 +102,8 @@ class HwProfiler
      * the calling thread), which must be idle for the call; the
      * engines pass their worker pool. CTAs are distributed
      * round-robin across the modeled SMs' L1s and replayed in
-     * windows of numSms x 32 CTAs. In each window one lane replays
+     * windows of numSms x 32 CTAs, which bound the buffers of
+     * sectors on their way to L2. In each window one lane replays
      * one SM's L1 at a time, in its CTAs' order, and files the
      * sectors that reach L2 under the L2 part (a contiguous range of
      * sets, one part per lane) that owns their set. Then each lane
