@@ -697,6 +697,74 @@ TEST(MemorySystemTest, L1BypassSkipsL1)
     EXPECT_EQ(st.l2Hits, 1u);
 }
 
+TEST(MemorySystemTest, L2BackPressureSerializesMisses)
+{
+    // Lane l reads line 4l: 32 lines of slice 0, so every sector
+    // misses into one slice. A one-entry L2 MSHR table and a
+    // one-request DRAM queue each admit one miss at a time; the
+    // rejected sectors retry on later cycles.
+    std::array<uint64_t, 32> addrs{};
+    for (int l = 0; l < 32; ++l)
+        addrs[static_cast<size_t>(l)] = 512ull * static_cast<uint64_t>(l);
+    auto run = [&](const GpuConfig &cfg, uint64_t completion) {
+        MemorySystem mem(cfg);
+        KernelStats st;
+        const auto res =
+            mem.warpAccess(0, 0, addrs, MemAccessKind::Load, st);
+        EXPECT_EQ(res.completion, completion);
+        EXPECT_EQ(st.l2Misses, 32u);
+        EXPECT_EQ(st.dramRowHits, 24u);
+        EXPECT_EQ(st.dramRowMisses, 8u);
+        EXPECT_EQ(mem.dramQueuePeak(), 1u);
+    };
+    GpuConfig one_mshr = GpuConfig::testTiny();
+    one_mshr.l2Mshr = {1, 1, 1};
+    run(one_mshr, 11664);
+    GpuConfig one_slot = GpuConfig::testTiny();
+    one_slot.dram.schedQueueSize = 1;
+    run(one_slot, 944);
+}
+
+TEST(MemorySystemTest, RetriedL2FillsAreStampedWithTheirAdmissionCycle)
+{
+    // Lines 16j (j = 0..15) all map to set 0 of slice 0, which holds
+    // 8 ways. A one-request DRAM queue admits SM 0's eight misses on
+    // cycles 0..7, and each fill's last use is its admission cycle.
+    // SM 1's misses on cycles 10..17 are then later than all of them,
+    // so they evict exactly SM 0's eight lines, and SM 1's reloads of
+    // those lines all miss. Stamping a retried fill later than its
+    // admission cycle would keep some of SM 0's lines resident.
+    GpuConfig cfg = GpuConfig::testTiny();
+    cfg.dram.schedQueueSize = 1;
+    MemorySystem mem(cfg);
+    auto line_addr = [](int j) {
+        return std::array<uint64_t, 1>{2048ull * static_cast<uint64_t>(j)};
+    };
+
+    std::array<uint64_t, 8> first{};
+    for (int j = 0; j < 8; ++j)
+        first[static_cast<size_t>(j)] = line_addr(j)[0];
+    KernelStats st0;
+    const auto res =
+        mem.warpAccess(0, 0, first, MemAccessKind::Load, st0);
+    EXPECT_EQ(res.completion, 553u);
+    EXPECT_EQ(st0.l2Misses, 8u);
+
+    KernelStats st1;
+    for (int j = 8; j < 16; ++j)
+        mem.warpAccess(1, static_cast<uint64_t>(2 + j), line_addr(j),
+                       MemAccessKind::Load, st1);
+    EXPECT_EQ(st1.l2Misses, 8u);
+
+    for (int j = 7; j >= 0; --j) {
+        KernelStats st;
+        mem.warpAccess(1, static_cast<uint64_t>(107 - j), line_addr(j),
+                       MemAccessKind::Load, st);
+        EXPECT_EQ(st.l2Hits, 0u) << "line " << j;
+        EXPECT_EQ(st.l2Misses, 1u) << "line " << j;
+    }
+}
+
 TEST(Simulator, AluKernelCompletesWithIssuedCycles)
 {
     GpuSimulator sim(tinyNoSampling());
