@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # Regenerate tests/golden/ from the current simulator: the per-kernel
-# counter goldens (*.json) and the quick-scale paper figures
-# (paper_quick_fig{5..9}.csv).
+# counter goldens (*.json) and the paper figures at quick and full
+# scale (paper_quick_fig{5..9}.csv, paper_full_fig{5..9}.csv).
 #
 # Usage: scripts/update_goldens.sh [BUILD_DIR]
 #
 # Only run this when a timing-model change is *intentional*: the
 # golden files pin every deterministic simulator counter, and
-# golden_stats_test (JSON) and CI's paper-pass smoke (CSV, by cmp)
-# fail on any drift. Commit the regenerated files together with the
+# golden_stats_test (JSON) and CI's two paper-pass steps (CSV, by
+# cmp) fail on any drift. Commit the regenerated files together with the
 # change that moved them, and say why.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -26,8 +26,10 @@ trap 'rm -rf "$snapshot"' EXIT
 cp tests/golden/*.json "$snapshot"/ 2>/dev/null || true
 
 "$build_dir/golden_stats_test" --update-golden
-# Figs. 5-9 at quick scale; every cell is a deterministic counter.
+# Figs. 5-9 at quick and full scale; every cell is a deterministic
+# counter.
 "$build_dir/bench_paper" --quick --csv tests/golden/paper_quick_ >/dev/null
+"$build_dir/bench_paper" --csv tests/golden/paper_full_ >/dev/null
 echo "goldens regenerated under tests/golden/ — review the diff:"
 git -c color.ui=always diff --stat -- tests/golden || true
 
