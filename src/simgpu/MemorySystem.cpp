@@ -119,7 +119,7 @@ MemorySystem::beginAccess(int sm, uint64_t cycle,
         q = SectorReq{};
         q.addr = addr;
         q.issueAt = cycle + static_cast<uint64_t>(i / 4);
-        q.slice = static_cast<uint8_t>(sliceOf(addr));
+        q.slice = sliceOf(addr);
         q.needsL2 = true;
 
         if (use_l1) {

@@ -201,7 +201,7 @@ class MemorySystem
         uint64_t addr = 0;    ///< sector base address
         uint64_t issueAt = 0; ///< cycle the sector enters its slice
         uint64_t done = 0;    ///< completion (filled by its slice)
-        uint8_t slice = 0;
+        int slice = 0;
         bool needsL2 = false; ///< false: satisfied by L1 in phase 1
         bool fillL1 = false;  ///< load that missed L1: fill on finish
         bool l2Hit = false;   ///< slice-side outcome, for stats

@@ -765,6 +765,33 @@ TEST(MemorySystemTest, RetriedL2FillsAreStampedWithTheirAdmissionCycle)
     }
 }
 
+TEST(MemorySystemTest, SlicesAbove255KeepTheirOwnL2AndDram)
+{
+    // v100-sim's L2 has 1,024 sets, so 512 slices of two sets each is
+    // a valid machine. Lines 0 and 256 then sit in slices 0 and 256
+    // at the same slice-local address; each must reach its own DRAM
+    // channel and open its row there. With 256 slices both lines
+    // belong to slice 0, where the second hits the row the first
+    // opened.
+    const std::array<uint64_t, 2> addrs = {0, 256ull * 128};
+    auto run = [&](int slices, uint64_t peak, uint64_t row_hits,
+                   uint64_t completion) {
+        GpuConfig cfg = GpuConfig::v100Sim();
+        cfg.numL2Slices = slices;
+        cfg.validate();
+        MemorySystem mem(cfg);
+        KernelStats st;
+        const auto res =
+            mem.warpAccess(0, 0, addrs, MemAccessKind::Load, st);
+        EXPECT_EQ(mem.dramQueuePeak(), peak) << slices << " slices";
+        EXPECT_EQ(st.dramRowHits, row_hits) << slices << " slices";
+        EXPECT_EQ(st.dramRowHits + st.dramRowMisses, 2u);
+        EXPECT_EQ(res.completion, completion) << slices << " slices";
+    };
+    run(512, 1, 0, 374);
+    run(256, 2, 1, 499);
+}
+
 TEST(Simulator, AluKernelCompletesWithIssuedCycles)
 {
     GpuSimulator sim(tinyNoSampling());
