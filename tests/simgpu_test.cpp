@@ -733,17 +733,29 @@ TEST(MemorySystemTest, RetriedL2FillsAreStampedWithTheirAdmissionCycle)
     // SM 1's misses on cycles 10..17 are then later than all of them,
     // so they evict exactly SM 0's eight lines, and SM 1's reloads of
     // those lines all miss. Stamping a retried fill later than its
-    // admission cycle would keep some of SM 0's lines resident.
+    // admission cycle would keep some of SM 0's lines resident;
+    // stamping all of them with the warp's issue cycle would make
+    // line 7 (way 0) the first victim instead of line 0.
     GpuConfig cfg = GpuConfig::testTiny();
     cfg.dram.schedQueueSize = 1;
-    MemorySystem mem(cfg);
     auto line_addr = [](int j) {
         return std::array<uint64_t, 1>{2048ull * static_cast<uint64_t>(j)};
     };
-
     std::array<uint64_t, 8> first{};
     for (int j = 0; j < 8; ++j)
         first[static_cast<size_t>(j)] = line_addr(j)[0];
+
+    {
+        MemorySystem mem(cfg);
+        KernelStats st;
+        mem.warpAccess(0, 0, first, MemAccessKind::Load, st);
+        mem.warpAccess(1, 3, line_addr(8), MemAccessKind::Load, st);
+        EXPECT_EQ(st.l2Misses, 9u);
+        mem.warpAccess(1, 4, line_addr(7), MemAccessKind::Load, st);
+        EXPECT_EQ(st.l2Hits, 1u); // line 0 was the victim
+    }
+
+    MemorySystem mem(cfg);
     KernelStats st0;
     const auto res =
         mem.warpAccess(0, 0, first, MemAccessKind::Load, st0);
