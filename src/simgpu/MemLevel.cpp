@@ -136,7 +136,7 @@ DramChannel::beginCycle()
 }
 
 bool
-DramChannel::canAccept(uint64_t) const
+DramChannel::canAccept() const
 {
     return static_cast<int>(queue.size()) < cfg.schedQueueSize;
 }
@@ -144,7 +144,7 @@ DramChannel::canAccept(uint64_t) const
 int
 DramChannel::request(uint64_t addr, uint64_t at)
 {
-    if (!canAccept(at))
+    if (!canAccept())
         return -1;
     const int ticket = static_cast<int>(results.size());
     queue.push_back({addr, at, ticket});
@@ -250,62 +250,6 @@ DramChannel::reset()
     busNextFree = 0.0;
     busy = 0.0;
     peak = 0;
-}
-
-// --- CacheLevel -------------------------------------------------------
-
-CacheLevel::CacheLevel(const CacheGeometry &geometry,
-                       const MshrConfig &mshr_cfg, int hit_latency)
-    : store(geometry), hitLatency(hit_latency)
-{
-    table.configure(mshr_cfg);
-}
-
-CacheLevel::Outcome
-CacheLevel::serviceSector(uint64_t addr, uint64_t issue_at)
-{
-    Outcome out;
-    const CacheProbe p = store.probe(addr, issue_at);
-    if (p.hit) {
-        out.kind = Outcome::Kind::Hit;
-        out.ready = std::max(
-            issue_at + static_cast<uint64_t>(hitLatency), p.ready);
-        return out;
-    }
-
-    panicIf(!next_, "cache-level miss with no next level chained");
-    if (!next_->canAccept(issue_at))
-        return out; // Rejected: bounded queue full, retry next cycle
-
-    const uint64_t line =
-        addr / static_cast<uint64_t>(store.geometry().lineBytes);
-    uint64_t at = issue_at;
-    const int entry = table.acquire(line, at);
-    if (entry < 0)
-        return out; // Rejected: every MSHR busy, release unknown
-
-    const int ticket = next_->request(addr, at);
-    panicIf(ticket < 0, "next level refused after canAccept");
-    out.kind = Outcome::Kind::Forwarded;
-    out.ticket = ticket;
-    out.mshrEntry = entry;
-    return out;
-}
-
-void
-CacheLevel::completeFill(uint64_t addr, uint64_t issue_at,
-                         uint64_t ready, int mshr_entry)
-{
-    store.fill(addr, issue_at, ready);
-    if (mshr_entry >= 0)
-        table.release(mshr_entry, ready);
-}
-
-void
-CacheLevel::reset()
-{
-    store.flush();
-    table.reset();
 }
 
 } // namespace gsuite

@@ -1,22 +1,14 @@
 /**
  * @file
- * Chainable memory levels (HybridSim-style setNextLevel
- * composition): a cache level owns a sectored Cache plus a finite
- * MSHR table and forwards misses to whatever MemLevel it is chained
- * to; the terminal level is a banked DRAM channel with per-bank row
- * state and a selectable FR-FCFS/FCFS scheduler over a bounded
- * request queue.
+ * The bounded resources behind MemorySystem's caches: MshrTable, the
+ * finite table of in-flight misses of one cache (an SM's L1 or a
+ * slice's L2), and DramChannel, the banked DRAM channel behind one L2
+ * slice, with per-bank row state and a selectable FR-FCFS/FCFS
+ * scheduler over a bounded request queue.
  *
- * MemorySystem builds one chain per L2 slice (CacheLevel ->
- * DramChannel) plus one un-chained CacheLevel per SM for the L1 —
- * the L1's "next level" hop waits for the simulator's resolve phase
- * (an L1 miss is routed to its address slice by MemorySystem), so
- * the L1 level keeps next == nullptr and only contributes its cache
- * and MSHR table to phase 1.
- *
- * Determinism: every object here belongs to one SM (an L1 level) or
- * one slice (a chain), and all service decisions are functions of
- * request content and arrival order, never of wall-clock.
+ * Determinism: every object here belongs to one SM or one slice, and
+ * all service decisions are functions of request content and arrival
+ * order, never of wall-clock.
  */
 
 #ifndef GSUITE_SIMGPU_MEMLEVEL_HPP
@@ -25,7 +17,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "simgpu/Cache.hpp"
 #include "simgpu/GpuConfig.hpp"
 
 namespace gsuite {
@@ -52,7 +43,7 @@ class MshrTable
     void reset();
 
     /**
-     * True when a new access may enter this level at @p cycle: the
+     * True when a new access may enter the cache at @p cycle: the
      * number of busy entries is below the hit-under-miss limit.
      */
     bool ready(uint64_t cycle) const;
@@ -90,43 +81,6 @@ class MshrTable
 };
 
 /**
- * Abstract chainable level (setNextLevel composition). The
- * admission protocol (canAccept/request/service/readyOf) has
- * refuse-everything defaults so a level only overrides the parts it
- * implements; a chain's terminal level must implement all of them.
- */
-class MemLevel
-{
-  public:
-    virtual ~MemLevel() = default;
-
-    void setNextLevel(MemLevel *next) { next_ = next; }
-    MemLevel *nextLevel() const { return next_; }
-
-    /** Drop all state (between kernel launches). */
-    virtual void reset() = 0;
-
-    /** May this level admit one more request right now? */
-    virtual bool canAccept(uint64_t) const { return false; }
-
-    /**
-     * Admit a request for the sector at @p addr arriving at @p at.
-     * Returns a ticket redeemable after service(), or -1 when the
-     * level refused admission (bounded queue full).
-     */
-    virtual int request(uint64_t, uint64_t) { return -1; }
-
-    /** Service everything admitted since the last service(). */
-    virtual void service() {}
-
-    /** Data-ready cycle of an admitted ticket (after service()). */
-    virtual uint64_t readyOf(int) const { return 0; }
-
-  protected:
-    MemLevel *next_ = nullptr;
-};
-
-/**
  * Banked DRAM channel: per-bank open-row state with RCD/RAS/RP/CCD
  * timing, a shared data bus carrying the configured bandwidth share,
  * and a bounded per-cycle request queue drained by an FR-FCFS or
@@ -134,7 +88,7 @@ class MemLevel
  * beginCycle() before admitting, service() once all requests of the
  * cycle are queued, then redeems every ticket the same cycle.
  */
-class DramChannel final : public MemLevel
+class DramChannel
 {
   public:
     /**
@@ -150,11 +104,24 @@ class DramChannel final : public MemLevel
     /** Start a cycle: recycle the previous cycle's tickets. */
     void beginCycle();
 
-    void reset() override;
-    bool canAccept(uint64_t at) const override;
-    int request(uint64_t addr, uint64_t at) override;
-    void service() override;
-    uint64_t readyOf(int ticket) const override;
+    /** Drop all bank, queue and bus state (between launches). */
+    void reset();
+
+    /** True while this cycle's request queue has room. */
+    bool canAccept() const;
+
+    /**
+     * Queue a request for the sector at @p addr arriving at @p at.
+     * Returns a ticket redeemable after service(), or -1 when the
+     * queue is full.
+     */
+    int request(uint64_t addr, uint64_t at);
+
+    /** Serve everything queued since beginCycle(). */
+    void service();
+
+    /** Data-ready cycle of a ticket (after service()). */
+    uint64_t readyOf(int ticket) const;
 
     /** Whether the ticket's request hit an open row (after service). */
     bool rowHitOf(int ticket) const;
@@ -198,67 +165,6 @@ class DramChannel final : public MemLevel
     int bankOf(uint64_t addr) const;
     uint64_t rowOf(uint64_t addr) const;
     void serve(const Request &r);
-};
-
-/**
- * One cache level: sectored Cache + finite MSHR table, chained to
- * the next level. serviceSector()/completeFill() implement the
- * slice-side (L2) protocol; the L1 uses the cache()/mshr()
- * accessors directly from MemorySystem's phase-1 code.
- */
-class CacheLevel final : public MemLevel
-{
-  public:
-    /**
-     * @param geometry Cache geometry of this level.
-     * @param mshr_cfg MSHR table configuration.
-     * @param hit_latency Hit latency charged at this level.
-     */
-    CacheLevel(const CacheGeometry &geometry,
-               const MshrConfig &mshr_cfg, int hit_latency);
-
-    /** Outcome of one sector service attempt. */
-    struct Outcome {
-        enum class Kind {
-            Hit,      ///< served here; `ready` is valid
-            Forwarded, ///< miss sent to the next level; `ticket` valid
-            Rejected, ///< back-pressured; retry next cycle
-        };
-        Kind kind = Kind::Rejected;
-        uint64_t ready = 0;
-        int ticket = -1;
-        int mshrEntry = -1;
-    };
-
-    /**
-     * Probe for the sector at @p addr at @p issue_at; on a miss,
-     * claim an MSHR entry and forward to the next level. Rejected
-     * when the next level's queue is full or every MSHR entry is
-     * busy with an unknown release.
-     */
-    Outcome serviceSector(uint64_t addr, uint64_t issue_at);
-
-    /**
-     * Complete a forwarded miss: install the sector (valid at
-     * @p ready) and release its MSHR entry.
-     */
-    void completeFill(uint64_t addr, uint64_t issue_at,
-                      uint64_t ready, int mshr_entry);
-
-    void reset() override;
-    bool canAccept(uint64_t at) const override
-    {
-        return table.ready(at);
-    }
-
-    Cache &cache() { return store; }
-    MshrTable &mshr() { return table; }
-    const MshrTable &mshr() const { return table; }
-
-  private:
-    Cache store;
-    MshrTable table;
-    int hitLatency;
 };
 
 } // namespace gsuite

@@ -8,25 +8,25 @@ namespace gsuite {
 
 MemorySystem::MemorySystem(const GpuConfig &cfg) : cfg(cfg)
 {
-    l1.reserve(static_cast<size_t>(cfg.numSms));
-    for (int i = 0; i < cfg.numSms; ++i)
-        l1.push_back(std::make_unique<CacheLevel>(
-            cfg.l1d, cfg.l1Mshr, cfg.l1Latency));
+    L1 sm_l1{Cache(cfg.l1d), {}};
+    sm_l1.mshr.configure(cfg.l1Mshr);
+    l1.assign(static_cast<size_t>(cfg.numSms), sm_l1);
 
     CacheGeometry slice_geo = cfg.l2;
     slice_geo.sizeBytes =
         cfg.l2.sizeBytes / static_cast<uint64_t>(cfg.numL2Slices);
 
-    // Each slice owns an equal share of the DRAM bandwidth.
-    dramCyclesPerSector =
+    // Each slice owns an equal share of the DRAM bandwidth, so its
+    // bus is busy a fractional number of cycles per sector.
+    const double cycles_per_sector =
         static_cast<double>(cfg.l2.sectorBytes) /
         (cfg.dramBytesPerCycle() / cfg.numL2Slices);
 
-    slices.reserve(static_cast<size_t>(cfg.numL2Slices));
-    for (int i = 0; i < cfg.numL2Slices; ++i)
-        slices.push_back(std::make_unique<Slice>(
-            slice_geo, cfg.l2Mshr, cfg.l2Latency, cfg.dram,
-            cfg.dramLatency, dramCyclesPerSector));
+    Slice slice{Cache(slice_geo), {},
+                DramChannel(cfg.dram, cfg.dramLatency,
+                            cycles_per_sector)};
+    slice.mshr.configure(cfg.l2Mshr);
+    slices.assign(static_cast<size_t>(cfg.numL2Slices), slice);
 
     parked.assign(static_cast<size_t>(cfg.numSms), ParkedReq{});
 }
@@ -54,13 +54,13 @@ MemorySystem::sliceLocalAddr(uint64_t addr) const
 bool
 MemorySystem::l1MshrReady(int sm, uint64_t cycle) const
 {
-    return l1[static_cast<size_t>(sm)]->mshr().ready(cycle);
+    return l1[static_cast<size_t>(sm)].mshr.ready(cycle);
 }
 
 uint64_t
 MemorySystem::l1MshrNextRelease(int sm, uint64_t cycle) const
 {
-    return l1[static_cast<size_t>(sm)]->mshr().nextRelease(cycle);
+    return l1[static_cast<size_t>(sm)].mshr.nextRelease(cycle);
 }
 
 bool
@@ -72,7 +72,7 @@ MemorySystem::beginAccess(int sm, uint64_t cycle,
     panicIf(sm < 0 || sm >= cfg.numSms, "SM index out of range");
     ParkedReq &req = parked[static_cast<size_t>(sm)];
     panicIf(req.active, "SM issued a second access with one parked");
-    CacheLevel &l1_level = *l1[static_cast<size_t>(sm)];
+    L1 &sm_l1 = l1[static_cast<size_t>(sm)];
 
     // --- coalescer: collapse lane addresses into unique sectors -------
     const uint64_t sector_bytes =
@@ -123,8 +123,7 @@ MemorySystem::beginAccess(int sm, uint64_t cycle,
         q.needsL2 = true;
 
         if (use_l1) {
-            const CacheProbe p =
-                l1_level.cache().probe(addr, q.issueAt);
+            const CacheProbe p = sm_l1.cache.probe(addr, q.issueAt);
             if (p.hit) {
                 ++stats.l1Hits;
                 if (kind == MemAccessKind::Load) {
@@ -156,7 +155,7 @@ MemorySystem::beginAccess(int sm, uint64_t cycle,
             const uint64_t line =
                 addr / static_cast<uint64_t>(cfg.l1d.lineBytes);
             uint64_t at = q.issueAt;
-            q.l1Entry = l1_level.mshr().acquire(line, at);
+            q.l1Entry = sm_l1.mshr.acquire(line, at);
             q.issueAt = at;
             any_pending = true;
         }
@@ -179,13 +178,16 @@ MemorySystem::resolveSlice(int slice)
 {
     if (numParked == 0)
         return; // no sector to service, no ticket to redeem
-    Slice &sl = *slices[static_cast<size_t>(slice)];
+    Slice &sl = slices[static_cast<size_t>(slice)];
     sl.dram.beginCycle();
+    const uint64_t line_bytes = static_cast<uint64_t>(cfg.l2.lineBytes);
 
-    // Pass 1: probe the slice's L2 level for every pending sector, in
-    // (SM, sector) order. Hits resolve here; misses claim an L2 MSHR
-    // entry and a DRAM ticket; back-pressured sectors slip one cycle
-    // and retry on the next resolveSlice() call.
+    // Pass 1: probe the slice's L2 for every pending sector, in
+    // (SM, sector) order. Hits resolve here. A miss needs room in the
+    // DRAM queue before it claims an L2 MSHR entry (a full table
+    // delays it to the earliest known release), then takes a DRAM
+    // ticket; a sector refused by either slips one cycle and retries
+    // on the next resolveSlice() call.
     for (auto &req : parked) {
         if (!req.active)
             continue;
@@ -196,22 +198,26 @@ MemorySystem::resolveSlice(int slice)
             if (q.slice != slice || !q.needsL2 || q.resolved)
                 continue;
             const uint64_t local = sliceLocalAddr(q.addr);
-            const CacheLevel::Outcome o =
-                sl.l2.serviceSector(local, q.issueAt);
-            switch (o.kind) {
-              case CacheLevel::Outcome::Kind::Hit:
+            const CacheProbe p = sl.l2.probe(local, q.issueAt);
+            if (p.hit) {
+                const uint64_t hit_at =
+                    q.issueAt + static_cast<uint64_t>(cfg.l2Latency);
                 q.l2Hit = true;
-                q.done = o.ready + rmw_extra;
+                q.done = std::max(hit_at, p.ready) + rmw_extra;
                 q.resolved = true;
-                break;
-              case CacheLevel::Outcome::Kind::Forwarded:
-                q.ticket = o.ticket;
-                q.l2Entry = o.mshrEntry;
-                break;
-              case CacheLevel::Outcome::Kind::Rejected:
-                q.issueAt += 1; // retry next cycle
-                break;
+                continue;
             }
+            uint64_t at = q.issueAt;
+            const int entry =
+                sl.dram.canAccept()
+                    ? sl.mshr.acquire(local / line_bytes, at)
+                    : -1;
+            if (entry < 0) {
+                q.issueAt += 1; // retry next cycle
+                continue;
+            }
+            q.l2Entry = entry;
+            q.ticket = sl.dram.request(local, at);
         }
     }
 
@@ -229,15 +235,13 @@ MemorySystem::resolveSlice(int slice)
             SectorReq &q = req.sectors[i];
             if (q.slice != slice || q.resolved || q.ticket < 0)
                 continue;
-            const uint64_t local = sliceLocalAddr(q.addr);
             const uint64_t ready = sl.dram.readyOf(q.ticket);
             q.rowHit = sl.dram.rowHitOf(q.ticket);
             q.dramServed = true;
-            sl.l2.completeFill(local, q.issueAt, ready, q.l2Entry);
+            sl.l2.fill(sliceLocalAddr(q.addr), q.issueAt, ready);
+            sl.mshr.release(q.l2Entry, ready);
             q.done = ready + rmw_extra;
             q.resolved = true;
-            q.ticket = -1;
-            q.l2Entry = -1;
         }
     }
 }
@@ -273,7 +277,7 @@ MemorySystem::finishAccess(int sm, KernelStats &stats)
     panicIf(!req.active, "finishAccess without a parked request");
     panicIf(!parkedComplete(sm),
             "finishAccess with unresolved sectors");
-    CacheLevel &l1_level = *l1[static_cast<size_t>(sm)];
+    L1 &sm_l1 = l1[static_cast<size_t>(sm)];
 
     uint64_t completion = req.cycle + 1;
     for (int i = 0; i < req.numSectors; ++i) {
@@ -295,9 +299,9 @@ MemorySystem::finishAccess(int sm, KernelStats &stats)
                 ++stats.dramRowMisses;
         }
         if (q.l1Entry >= 0)
-            l1_level.mshr().release(q.l1Entry, q.done);
+            sm_l1.mshr.release(q.l1Entry, q.done);
         if (q.fillL1)
-            l1_level.cache().fill(q.addr, q.issueAt, q.done);
+            sm_l1.cache.fill(q.addr, q.issueAt, q.done);
     }
     if (req.kind == MemAccessKind::Atomic)
         completion += 2 * static_cast<uint64_t>(req.maxConflict);
@@ -336,8 +340,8 @@ double
 MemorySystem::dramBusyCycles() const
 {
     double total = 0.0;
-    for (const auto &sl : slices)
-        total += sl->dram.busyCycles();
+    for (const Slice &sl : slices)
+        total += sl.dram.busyCycles();
     return total;
 }
 
@@ -345,19 +349,22 @@ uint64_t
 MemorySystem::dramQueuePeak() const
 {
     uint64_t peak = 0;
-    for (const auto &sl : slices)
-        peak = std::max(peak, sl->dram.queuePeak());
+    for (const Slice &sl : slices)
+        peak = std::max(peak, sl.dram.queuePeak());
     return peak;
 }
 
 void
 MemorySystem::reset()
 {
-    for (auto &level : l1)
-        level->reset();
-    for (auto &sl : slices) {
-        sl->l2.reset();
-        sl->dram.reset();
+    for (L1 &sm_l1 : l1) {
+        sm_l1.cache.flush();
+        sm_l1.mshr.reset();
+    }
+    for (Slice &sl : slices) {
+        sl.l2.flush();
+        sl.mshr.reset();
+        sl.dram.reset();
     }
     for (auto &req : parked)
         req = ParkedReq{};

@@ -1,9 +1,10 @@
 /**
  * @file
  * The GPU memory hierarchy: per-SM sectored L1D caches with finite
- * MSHR tables, an address-sliced L2 (one CacheLevel per slice,
- * chained to a banked DRAM channel via MemLevel::setNextLevel), fed
- * through a memory-access coalescer.
+ * MSHR tables and an address-sliced L2, each slice a share of the L2
+ * with its own MSHR table and banked DRAM channel, fed through a
+ * memory-access coalescer. MemorySystem owns every cache, table and
+ * channel and routes each access through them itself.
  *
  * The interface is split into three phases that the simulator runs
  * in order each cycle, so every SM issues against the same L2/DRAM
@@ -17,8 +18,8 @@
  *  2. resolveSlice() — called once per slice per cycle, after every
  *     SM has stepped, slices in index order. Walks the parked
  *     requests in SM-index order and services the sectors this slice
- *     owns through the slice's CacheLevel -> DramChannel chain, so
- *     the L2/DRAM ordering is a deterministic function of
+ *     owns through the slice's L2 and DRAM channel, so the L2/DRAM
+ *     ordering is a deterministic function of
  *     (cycle, slice, sm). A sector can be back-pressured (L2 MSHRs
  *     exhausted or the DRAM queue full); it then retries on the next
  *     resolveSlice() call, which keeps its SM parked across cycles.
@@ -37,10 +38,10 @@
 #define GSUITE_SIMGPU_MEMORYSYSTEM_HPP
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
+#include "simgpu/Cache.hpp"
 #include "simgpu/GpuConfig.hpp"
 #include "simgpu/KernelStats.hpp"
 #include "simgpu/MemLevel.hpp"
@@ -90,9 +91,9 @@ struct MemAccessResult {
 };
 
 /**
- * Orchestrates coalescing and the chained cache/DRAM levels. All
- * per-launch counters are written into per-SM KernelStats passed by
- * the caller, so SMs never share a counter.
+ * Orchestrates coalescing, the caches, their MSHR tables and the DRAM
+ * channels. All per-launch counters are written into per-SM
+ * KernelStats passed by the caller, so SMs never share a counter.
  */
 class MemorySystem
 {
@@ -118,9 +119,9 @@ class MemorySystem
 
     /**
      * Phase 2: service every parked sector owned by @p slice, in
-     * SM-index order, through the slice's CacheLevel -> DramChannel
-     * chain. Each slice must be resolved by exactly one caller per
-     * cycle. Back-pressured sectors stay pending for the next call.
+     * SM-index order, through the slice's L2 and DRAM channel. Each
+     * slice must be resolved by exactly one caller per cycle.
+     * Back-pressured sectors stay pending for the next call.
      */
     void resolveSlice(int slice);
 
@@ -223,35 +224,24 @@ class MemorySystem
         SectorReq sectors[32];
     };
 
-    /** One address slice: an L2 cache level chained to its DRAM. */
-    struct Slice {
-        CacheLevel l2;
-        DramChannel dram;
+    /** One SM's L1D and its miss table. */
+    struct L1 {
+        Cache cache;
+        MshrTable mshr;
+    };
 
-        Slice(const CacheGeometry &g, const MshrConfig &mshr,
-              int hit_latency, const DramConfig &dram_cfg,
-              int dram_latency, double cycles_per_sector)
-            : l2(g, mshr, hit_latency),
-              dram(dram_cfg, dram_latency, cycles_per_sector)
-        {
-            l2.setNextLevel(&dram);
-        }
+    /** One address slice: its share of the L2, miss table and DRAM. */
+    struct Slice {
+        Cache l2;
+        MshrTable mshr;
+        DramChannel dram;
     };
 
     const GpuConfig &cfg;
-    /**
-     * Per-SM L1 levels. They stay un-chained (next == nullptr): the
-     * L1-miss hop to the slices waits for the resolve phase, so it is
-     * routed by this class rather than by the level itself. Heap
-     * allocation keeps the addresses stable for setNextLevel-style
-     * wiring elsewhere.
-     */
-    std::vector<std::unique_ptr<CacheLevel>> l1;
-    std::vector<std::unique_ptr<Slice>> slices;
+    std::vector<L1> l1;            ///< one per SM
+    std::vector<Slice> slices;     ///< one per L2 slice
     std::vector<ParkedReq> parked; ///< one slot per SM
     int numParked = 0;             ///< SMs with an active request
-    /** Fractional cycle bookkeeping: DRAM service is sub-cycle. */
-    double dramCyclesPerSector; ///< per slice
 
     int sliceOf(uint64_t addr) const;
     /** Remap @p addr into a slice-local address (slice bits removed). */

@@ -557,10 +557,10 @@ TEST(DramChannelTest, BoundedQueueRefusesWhenFull)
                          2};
     DramChannel ch(cfg, 0, 1.0);
     ch.beginCycle();
-    EXPECT_TRUE(ch.canAccept(0));
+    EXPECT_TRUE(ch.canAccept());
     EXPECT_GE(ch.request(0, 0), 0);
     EXPECT_GE(ch.request(64, 0), 0);
-    EXPECT_FALSE(ch.canAccept(0));
+    EXPECT_FALSE(ch.canAccept());
     EXPECT_EQ(ch.request(128, 0), -1);
     ch.service();
     EXPECT_EQ(ch.queuePeak(), 2u);
