@@ -27,18 +27,6 @@ schedulerPolicyName(SchedulerPolicy p)
     panic("unknown SchedulerPolicy");
 }
 
-DramSchedPolicy
-dramSchedPolicyFromName(const std::string &name)
-{
-    const std::string n = toLower(trim(name));
-    if (n == "frfcfs" || n == "fr-fcfs")
-        return DramSchedPolicy::Frfcfs;
-    if (n == "fcfs" || n == "fifo")
-        return DramSchedPolicy::Fcfs;
-    fatal("unknown DRAM scheduler '%s' (known: frfcfs, fcfs)",
-          name.c_str());
-}
-
 const char *
 dramSchedPolicyName(DramSchedPolicy p)
 {

@@ -35,9 +35,6 @@ enum class DramSchedPolicy {
     Fcfs,   ///< strictly oldest-first
 };
 
-/** Parse "frfcfs"/"fcfs"; fatal() on unknown names. */
-DramSchedPolicy dramSchedPolicyFromName(const std::string &name);
-
 /** Canonical lowercase name. */
 const char *dramSchedPolicyName(DramSchedPolicy p);
 

@@ -5,25 +5,6 @@
 namespace gsuite {
 
 const char *
-opName(Op op)
-{
-    switch (op) {
-      case Op::FP32: return "FP32";
-      case Op::INT: return "INT";
-      case Op::SFU: return "SFU";
-      case Op::LDG: return "LDG";
-      case Op::STG: return "STG";
-      case Op::ATOM: return "ATOM";
-      case Op::LDS: return "LDS";
-      case Op::STS: return "STS";
-      case Op::CTRL: return "CTRL";
-      case Op::BAR: return "BAR";
-      case Op::EXIT: return "EXIT";
-    }
-    panic("unknown Op");
-}
-
-const char *
 instrClassName(InstrClass c)
 {
     switch (c) {

@@ -67,9 +67,6 @@ instrClassOf(Op op)
     return InstrClass::Other; // unreachable for valid ops
 }
 
-/** Human-readable op name. */
-const char *opName(Op op);
-
 /** Human-readable class name matching the paper's legend. */
 const char *instrClassName(InstrClass c);
 

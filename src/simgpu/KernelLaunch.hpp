@@ -51,7 +51,6 @@ struct LaunchDims {
     {
         return (threadsPerCta + 31) / 32;
     }
-    int64_t totalWarps() const { return numCtas * warpsPerCta(); }
     /**
      * The CTAs a simulated SM subset processes: a 1/smSampleFactor
      * share of the grid, rounded up, so each simulated SM keeps the
@@ -62,11 +61,6 @@ struct LaunchDims {
     ctaShare(int smSampleFactor) const
     {
         return (numCtas + smSampleFactor - 1) / smSampleFactor;
-    }
-    int64_t
-    totalThreads() const
-    {
-        return numCtas * static_cast<int64_t>(threadsPerCta);
     }
 };
 

@@ -90,9 +90,6 @@ class DenseMatrix
     /** Set every element to @p value. */
     void fill(float value);
 
-    /** Set every element to zero. */
-    void setZero() { fill(0.0f); }
-
     /** Fill with uniform values in [lo, hi) from @p rng. */
     void fillUniform(Rng &rng, float lo, float hi);
 

@@ -84,12 +84,6 @@ logLevel()
     return levelRef();
 }
 
-const std::string &
-logPrefix()
-{
-    return prefixRef();
-}
-
 ScopedLogPrefix::ScopedLogPrefix(std::string label)
     : saved(prefixRef())
 {
@@ -123,17 +117,6 @@ informVerbose(const char *fmt, ...)
     va_list args;
     va_start(args, fmt);
     vreport("info: ", fmt, args);
-    va_end(args);
-}
-
-void
-logDebug(const char *fmt, ...)
-{
-    if (logLevel() < LogLevel::Debug)
-        return;
-    va_list args;
-    va_start(args, fmt);
-    vreport("debug: ", fmt, args);
     va_end(args);
 }
 

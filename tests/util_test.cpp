@@ -268,31 +268,11 @@ TEST(Table, RendersAlignedColumns)
     EXPECT_GE(std::count(out.begin(), out.end(), '\n'), 5);
 }
 
-TEST(Stats, AddSetGetMerge)
+TEST(Stats, SetGet)
 {
     StatSet s;
-    s.add("x", 2);
-    s.add("x", 3);
-    EXPECT_DOUBLE_EQ(s.get("x"), 5);
+    s.set("x", 5);
     s.set("x", 1);
     EXPECT_DOUBLE_EQ(s.get("x"), 1);
     EXPECT_DOUBLE_EQ(s.get("unknown"), 0);
-    StatSet other;
-    other.add("x", 4);
-    other.add("y", 2);
-    s.merge(other);
-    EXPECT_DOUBLE_EQ(s.get("x"), 5);
-    EXPECT_DOUBLE_EQ(s.get("y"), 2);
-}
-
-TEST(Stats, Ratios)
-{
-    StatSet s;
-    s.set("hits", 3);
-    s.set("misses", 1);
-    EXPECT_DOUBLE_EQ(s.ratioOf("hits", "misses"), 0.75);
-    EXPECT_DOUBLE_EQ(s.ratioOf("nope", "alsonope"), 0.0);
-    s.set("part", 2);
-    s.set("whole", 8);
-    EXPECT_DOUBLE_EQ(s.fractionOf("part", "whole"), 0.25);
 }
