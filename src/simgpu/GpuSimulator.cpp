@@ -43,9 +43,12 @@ GpuSimulator::GpuSimulator(GpuConfig config)
 void
 GpuSimulator::assignCtas(RunControl &ctl)
 {
-    // Assign pending CTAs to SMs with free slots (round-robin by
-    // free-slot discovery order). Sampled runs walk the plan's CTA
-    // order instead of the dense prefix.
+    // Assign pending CTAs in SM index order: every free slot of SM 0
+    // is filled before SM 1 gets a CTA, so a launch with fewer CTAs
+    // than free slots leaves the high-index SMs idle. GPGPU-Sim and
+    // the cache profiler place CTAs round-robin instead (ROADMAP's
+    // open fidelity item on CTA placement). Sampled runs walk the
+    // plan's CTA order instead of the dense prefix.
     for (auto &sm : sms) {
         while (ctl.nextCta < ctl.ctasToSim && sm->hasFreeCtaSlot()) {
             const int64_t id =

@@ -119,7 +119,11 @@ struct UserParams {
      */
     int sweepThreads = 1;
 
-    /** CTA sampling cap forwarded to the timing simulator. */
+    /**
+     * CTA cap per launch. Runner forwards it to the timing simulator
+     * (SimOptions::maxCtas) and to the cache profiler
+     * (HwProfilerConfig::maxCtas), on both engines.
+     */
     int64_t maxCtas = 2048;
 
     /**
