@@ -218,6 +218,7 @@ MemorySystem::resolveSlice(int slice)
             }
             q.l2Entry = entry;
             q.ticket = sl.dram.request(local, at);
+            panicIf(q.ticket < 0, "DRAM queue refused after canAccept");
         }
     }
 
