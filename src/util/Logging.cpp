@@ -21,11 +21,9 @@ levelFromEnv()
         return LogLevel::Normal;
     if (!std::strcmp(env, "verbose") || !std::strcmp(env, "2"))
         return LogLevel::Verbose;
-    if (!std::strcmp(env, "debug") || !std::strcmp(env, "3"))
-        return LogLevel::Debug;
     std::fprintf(stderr,
                  "warn: SUITE_LOG_LEVEL=%s not recognized "
-                 "(want quiet|normal|verbose|debug or 0-3)\n",
+                 "(want quiet|normal|verbose or 0-2)\n",
                  env);
     return LogLevel::Normal;
 }

@@ -9,8 +9,8 @@
  *
  * Verbosity is leveled. The initial level comes from the
  * SUITE_LOG_LEVEL environment variable ("quiet", "normal",
- * "verbose", "debug", or the matching integer 0-3; unset/unknown =
- * normal) and can be overridden programmatically with setLogLevel().
+ * "verbose", or the matching integer 0-2; unset/unknown = normal)
+ * and can be overridden programmatically with setLogLevel().
  * Every message is written to stderr with a single fwrite so lines
  * from concurrent sweep threads never interleave mid-line, and each
  * line carries the calling thread's log prefix (ScopedLogPrefix) so
@@ -30,7 +30,6 @@ enum class LogLevel {
     Quiet = 0,
     Normal = 1,
     Verbose = 2,
-    Debug = 3,
 };
 
 /** Set the global verbosity; messages above the level are suppressed. */

@@ -1,15 +1,17 @@
 /**
  * @file
  * Unit tests for the util module: RNG, strings, options, CSV, tables,
- * stats.
+ * stats, log levels.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 
 #include "util/Csv.hpp"
+#include "util/Logging.hpp"
 #include "util/Options.hpp"
 #include "util/Random.hpp"
 #include "util/Stats.hpp"
@@ -275,4 +277,25 @@ TEST(Stats, SetGet)
     s.set("x", 1);
     EXPECT_DOUBLE_EQ(s.get("x"), 1);
     EXPECT_DOUBLE_EQ(s.get("unknown"), 0);
+}
+
+TEST(Logging, LevelFromEnvironmentAcceptsOnlyLevelsThatPrint)
+{
+    // SUITE_LOG_LEVEL is read once per process, so each value is read
+    // in a child: threadsafe death tests re-execute the binary, which
+    // inherits the environment set here.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const auto exitsWithLevel = [](LogLevel want) {
+        std::exit(logLevel() == want ? 0 : 1);
+    };
+    for (const char *value : {"debug", "3"}) {
+        setenv("SUITE_LOG_LEVEL", value, 1);
+        EXPECT_EXIT(exitsWithLevel(LogLevel::Normal),
+                    ::testing::ExitedWithCode(0),
+                    "not recognized .want quiet.normal.verbose or 0-2.");
+    }
+    setenv("SUITE_LOG_LEVEL", "2", 1);
+    EXPECT_EXIT(exitsWithLevel(LogLevel::Verbose),
+                ::testing::ExitedWithCode(0), "^$");
+    unsetenv("SUITE_LOG_LEVEL");
 }
