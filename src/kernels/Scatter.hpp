@@ -37,9 +37,10 @@ class ScatterKernel : public Kernel
      * @param label Launch name.
      * @param messages Edge messages [e x f].
      * @param index Destination row per message (edge dst), length e.
-     * @param output Accumulator [n x f]; the caller chooses n and the
-     *        kernel zero-fills it (Sum) or leaves -inf semantics to
-     *        relu downstream (Max starts from 0 for GNN use).
+     * @param output Accumulator [n x f]; the caller chooses n. The
+     *        kernel zero-fills every row before reducing into it, so
+     *        its prior contents are never read (Max therefore starts
+     *        from 0, for GNN use).
      * @param op Reduction operator.
      * @param edge_scale Optional per-edge multiplier (GCN's
      *        1/sqrt(d_u d_v) normalization fused into the scatter, as

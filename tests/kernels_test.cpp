@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <unordered_map>
 
 #include "kernels/Elementwise.hpp"
@@ -21,6 +23,7 @@
 #include "sparse/SparseOps.hpp"
 #include "tensor/Ops.hpp"
 #include "util/Random.hpp"
+#include "util/ThreadPool.hpp"
 
 using namespace gsuite;
 
@@ -177,6 +180,49 @@ TEST(ScatterKernelTest, ZeroesOutputBeforeAccumulating)
     ScatterKernel k("sc", msg, dst, out);
     k.execute();
     EXPECT_EQ(out.at(0, 0), 1.0f);
+}
+
+TEST(ScatterKernelTest, WritesEveryOutputRowWhateverItHeld)
+{
+    // Pipelines size scatter outputs without writing them, so
+    // execute() must write every row, messaged or not, on any lane
+    // count: an output filled with NaN must end bit-equal to a zeroed
+    // one.
+    const int64_t n = 2051, f = 40, e = 6000;
+    ASSERT_GE(n * f, kParallelGrain); // four lanes do split the rows
+    const DenseMatrix msg = randomMatrix(e, f, 11);
+    Rng rng(12);
+    std::vector<int64_t> dst(static_cast<size_t>(e));
+    for (int64_t &d : dst) // odd rows receive no message
+        d = 2 * static_cast<int64_t>(rng.nextBelow(n / 2));
+    std::vector<float> scale(static_cast<size_t>(e));
+    for (float &x : scale)
+        x = rng.nextFloat(-2.0f, 2.0f);
+
+    const std::vector<float> *scales[] = {nullptr, &scale};
+    ThreadPool one(1), four(4);
+    for (const auto op :
+         {ScatterKernel::Reduce::Sum, ScatterKernel::Reduce::Max}) {
+        for (const std::vector<float> *s : scales) {
+            for (ThreadPool *lanes : {&one, &four}) {
+                SCOPED_TRACE(testing::Message()
+                             << "max " << (op == ScatterKernel::Reduce::Max)
+                             << ", scaled " << (s != nullptr) << ", lanes "
+                             << lanes->lanes());
+                DenseMatrix zeroed(n, f);
+                DenseMatrix poisoned(n, f);
+                poisoned.fill(std::numeric_limits<float>::quiet_NaN());
+                ScatterKernel("z", msg, dst, zeroed, op, s).execute(lanes);
+                ScatterKernel("p", msg, dst, poisoned, op, s)
+                    .execute(lanes);
+                for (int64_t i = 0; i < n * f; ++i) {
+                    ASSERT_EQ(std::bit_cast<uint32_t>(poisoned.data()[i]),
+                              std::bit_cast<uint32_t>(zeroed.data()[i]))
+                        << "element " << i;
+                }
+            }
+        }
+    }
 }
 
 TEST(ScatterKernelTest, TraceUsesAtomics)
