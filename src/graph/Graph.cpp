@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "sparse/Convert.hpp"
 #include "util/Logging.hpp"
 #include "util/StringUtils.hpp"
 
@@ -51,19 +50,14 @@ Graph::selfLoopDegrees() const
     return deg;
 }
 
-CooMatrix
-Graph::adjacencyCoo() const
-{
-    CooMatrix coo(nNodes, nNodes);
-    coo.rowIdx = dst; // row v aggregates from column u
-    coo.colIdx = src;
-    return coo;
-}
-
 CsrMatrix
 Graph::adjacencyCsr() const
 {
-    return cooToCsr(adjacencyCoo());
+    SparseBuilder b(nNodes, nNodes);
+    b.reserve(src.size());
+    for (size_t i = 0; i < src.size(); ++i)
+        b.add(dst[i], src[i], 1.0f); // row v aggregates from column u
+    return b.finish();
 }
 
 void

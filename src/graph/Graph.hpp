@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "sparse/Coo.hpp"
 #include "sparse/Csr.hpp"
 #include "tensor/DenseMatrix.hpp"
 
@@ -52,10 +51,10 @@ class Graph
      */
     std::vector<int64_t> selfLoopDegrees() const;
 
-    /** Adjacency as COO with rows = dst, cols = src (A[v][u] = 1). */
-    CooMatrix adjacencyCoo() const;
-
-    /** Adjacency as CSR with rows = dst, cols = src. */
+    /**
+     * Adjacency as CSR with rows = dst, cols = src (A[v][u] = 1); a
+     * repeated edge sums to its multiplicity.
+     */
     CsrMatrix adjacencyCsr() const;
 
     /** Validate edge endpoints; panic() on violation. */

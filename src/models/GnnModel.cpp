@@ -119,7 +119,8 @@ GnnPipeline::add(std::unique_ptr<Kernel> k)
 DenseMatrix *
 GnnPipeline::newMat(int64_t r, int64_t c)
 {
-    mats.push_back(std::make_unique<DenseMatrix>(r, c));
+    mats.push_back(std::make_unique<DenseMatrix>());
+    mats.back()->resizeForOverwrite(r, c);
     return mats.back().get();
 }
 
@@ -131,9 +132,10 @@ GnnPipeline::newCsr()
 }
 
 std::vector<int64_t> *
-GnnPipeline::newIdx()
+GnnPipeline::newIdx(std::vector<int64_t> idx)
 {
-    idxVecs.push_back(std::make_unique<std::vector<int64_t>>());
+    idxVecs.push_back(
+        std::make_unique<std::vector<int64_t>>(std::move(idx)));
     return idxVecs.back().get();
 }
 
@@ -167,6 +169,21 @@ GnnPipeline::layerOutDim(int k) const
 
 namespace {
 
+/**
+ * One endpoint array of an edge index extended with a self loop per
+ * node: @p ends followed by 0..n-1, allocated once.
+ */
+std::vector<int64_t>
+withSelfLoops(const std::vector<int64_t> &ends, int64_t n)
+{
+    std::vector<int64_t> out;
+    out.reserve(ends.size() + static_cast<size_t>(n));
+    out.assign(ends.begin(), ends.end());
+    for (int64_t v = 0; v < n; ++v)
+        out.push_back(v);
+    return out;
+}
+
 /** Layer-suffixed kernel label, e.g. "indexSelect_l1". */
 std::string
 lbl(const char *base, int layer)
@@ -184,14 +201,8 @@ GnnPipeline::buildGcnMp()
 
     // Self-loop-extended edge index (Fig. 2's edgeIndex) and the
     // fused normalization weights 1/sqrt(d_u d_v) of Eq. (1).
-    auto *src = newIdx();
-    auto *dst = newIdx();
-    *src = graph.src;
-    *dst = graph.dst;
-    for (int64_t v = 0; v < n; ++v) {
-        src->push_back(v);
-        dst->push_back(v);
-    }
+    auto *src = newIdx(withSelfLoops(graph.src, n));
+    auto *dst = newIdx(withSelfLoops(graph.dst, n));
     auto *norm = newVec();
     const std::vector<float> inv = invSqrtDegrees(graph);
     norm->reserve(src->size());
@@ -383,14 +394,8 @@ GnnPipeline::buildSageMp()
 
     // Mean over N(v) and v itself: aggregate over the self-loop-
     // extended edge index, then divide by d-hat_v.
-    auto *src = newIdx();
-    auto *dst = newIdx();
-    *src = graph.src;
-    *dst = graph.dst;
-    for (int64_t v = 0; v < n; ++v) {
-        src->push_back(v);
-        dst->push_back(v);
-    }
+    auto *src = newIdx(withSelfLoops(graph.src, n));
+    auto *dst = newIdx(withSelfLoops(graph.dst, n));
     auto *inv_deg = newVec();
     const std::vector<int64_t> deg = graph.selfLoopDegrees();
     inv_deg->reserve(deg.size());
@@ -448,14 +453,8 @@ GnnPipeline::buildGatMp()
 
     // GAT attends over N(v) and v itself: extend the edge index with
     // self loops, as PyG's GATConv does by default.
-    auto *src = newIdx();
-    auto *dst = newIdx();
-    *src = graph.src;
-    *dst = graph.dst;
-    for (int64_t v = 0; v < n; ++v) {
-        src->push_back(v);
-        dst->push_back(v);
-    }
+    auto *src = newIdx(withSelfLoops(graph.src, n));
+    auto *dst = newIdx(withSelfLoops(graph.dst, n));
 
     const DenseMatrix *x = &graph.features;
     for (int k = 0; k < cfg.layers; ++k) {

@@ -138,9 +138,14 @@ class GnnPipeline
     std::vector<const DenseMatrix *> weightPtrs;
     DenseMatrix *outBuf = nullptr;
 
+    /**
+     * An [r x c] buffer left unwritten: each caller sizes it for a
+     * writer that overwrites every element (a scatter's output, or
+     * newWeight's Glorot fill); the other kernels resize their own.
+     */
     DenseMatrix *newMat(int64_t r = 0, int64_t c = 0);
     CsrMatrix *newCsr();
-    std::vector<int64_t> *newIdx();
+    std::vector<int64_t> *newIdx(std::vector<int64_t> idx);
     std::vector<float> *newVec();
     DenseMatrix *newWeight(int64_t in, int64_t out, Rng &rng);
 

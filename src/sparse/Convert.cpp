@@ -1,7 +1,5 @@
 #include "sparse/Convert.hpp"
 
-#include <cmath>
-
 #include "util/Logging.hpp"
 
 namespace gsuite {
@@ -10,30 +8,11 @@ CsrMatrix
 cooToCsr(const CooMatrix &coo)
 {
     SparseBuilder b(coo.rows(), coo.cols());
+    b.reserve(static_cast<size_t>(coo.nnz()));
     for (int64_t i = 0; i < coo.nnz(); ++i)
         b.add(coo.rowIdx[static_cast<size_t>(i)],
               coo.colIdx[static_cast<size_t>(i)], coo.valueAt(i));
     return b.finish();
-}
-
-CooMatrix
-csrToCoo(const CsrMatrix &csr)
-{
-    CooMatrix coo(csr.rows(), csr.cols());
-    coo.rowIdx.reserve(static_cast<size_t>(csr.nnz()));
-    coo.colIdx.reserve(static_cast<size_t>(csr.nnz()));
-    coo.vals.reserve(static_cast<size_t>(csr.nnz()));
-    for (int64_t r = 0; r < csr.rows(); ++r) {
-        for (int64_t i = csr.rowPtr[static_cast<size_t>(r)];
-             i < csr.rowPtr[static_cast<size_t>(r) + 1]; ++i) {
-            coo.rowIdx.push_back(r);
-            coo.colIdx.push_back(csr.colIdx[static_cast<size_t>(i)]);
-            coo.vals.push_back(csr.vals.empty()
-                                   ? 1.0f
-                                   : csr.vals[static_cast<size_t>(i)]);
-        }
-    }
-    return coo;
 }
 
 DenseMatrix
@@ -52,17 +31,6 @@ csrToDense(const CsrMatrix &csr, int64_t maxElems)
         }
     }
     return d;
-}
-
-CsrMatrix
-denseToCsr(const DenseMatrix &dense, float zeroTol)
-{
-    SparseBuilder b(dense.rows(), dense.cols());
-    for (int64_t r = 0; r < dense.rows(); ++r)
-        for (int64_t c = 0; c < dense.cols(); ++c)
-            if (std::fabs(dense.at(r, c)) > zeroTol)
-                b.add(r, c, dense.at(r, c));
-    return b.finish();
 }
 
 DenseMatrix

@@ -19,15 +19,9 @@ namespace gsuite {
 /** COO -> CSR. Duplicates are summed; columns sorted per row. */
 CsrMatrix cooToCsr(const CooMatrix &coo);
 
-/** CSR -> COO (sorted by row, then column). */
-CooMatrix csrToCoo(const CsrMatrix &csr);
-
 /** CSR -> dense. fatal() if rows*cols exceeds @p maxElems. */
 DenseMatrix csrToDense(const CsrMatrix &csr,
                        int64_t maxElems = int64_t{1} << 26);
-
-/** Dense -> CSR, dropping entries with |v| <= @p zeroTol. */
-CsrMatrix denseToCsr(const DenseMatrix &dense, float zeroTol = 0.0f);
 
 /** COO -> dense (sums duplicates). fatal() on excessive size. */
 DenseMatrix cooToDense(const CooMatrix &coo,

@@ -1,8 +1,5 @@
 #include "sparse/Coo.hpp"
 
-#include <algorithm>
-#include <numeric>
-
 #include "util/Logging.hpp"
 
 namespace gsuite {
@@ -25,58 +22,6 @@ CooMatrix::push(int64_t r, int64_t c, float v)
             vals.assign(rowIdx.size() - 1, 1.0f);
         vals.push_back(v);
     }
-}
-
-void
-CooMatrix::sortByRow()
-{
-    const size_t n = rowIdx.size();
-    std::vector<size_t> perm(n);
-    std::iota(perm.begin(), perm.end(), size_t{0});
-    std::sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
-        if (rowIdx[a] != rowIdx[b])
-            return rowIdx[a] < rowIdx[b];
-        return colIdx[a] < colIdx[b];
-    });
-
-    auto apply = [&](auto &vec) {
-        using V = std::remove_reference_t<decltype(vec)>;
-        V out;
-        out.reserve(n);
-        for (size_t i : perm)
-            out.push_back(vec[i]);
-        vec = std::move(out);
-    };
-    apply(rowIdx);
-    apply(colIdx);
-    if (!vals.empty())
-        apply(vals);
-}
-
-void
-CooMatrix::sumDuplicates()
-{
-    const size_t n = rowIdx.size();
-    if (n == 0)
-        return;
-    std::vector<int64_t> outRow, outCol;
-    std::vector<float> outVal;
-    outRow.reserve(n);
-    outCol.reserve(n);
-    outVal.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-        if (!outRow.empty() && outRow.back() == rowIdx[i] &&
-            outCol.back() == colIdx[i]) {
-            outVal.back() += valueAt(static_cast<int64_t>(i));
-        } else {
-            outRow.push_back(rowIdx[i]);
-            outCol.push_back(colIdx[i]);
-            outVal.push_back(valueAt(static_cast<int64_t>(i)));
-        }
-    }
-    rowIdx = std::move(outRow);
-    colIdx = std::move(outCol);
-    vals = std::move(outVal);
 }
 
 void

@@ -46,12 +46,6 @@ class CooMatrix
         return isPattern() ? 1.0f : vals[static_cast<std::size_t>(i)];
     }
 
-    /** Sort entries by (row, col); stable for duplicates. */
-    void sortByRow();
-
-    /** Sum duplicate (row, col) entries; requires prior sortByRow(). */
-    void sumDuplicates();
-
     /** Validate indices are within shape; panic() on violation. */
     void checkInvariants() const;
 

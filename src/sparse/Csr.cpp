@@ -1,6 +1,5 @@
 #include "sparse/Csr.hpp"
 
-#include <algorithm>
 #include <numeric>
 
 #include "util/Logging.hpp"
@@ -36,15 +35,6 @@ CsrMatrix::diagonal(const std::vector<float> &diag)
     return m;
 }
 
-std::vector<int64_t>
-CsrMatrix::rowDegrees() const
-{
-    std::vector<int64_t> deg(static_cast<size_t>(nRows));
-    for (int64_t r = 0; r < nRows; ++r)
-        deg[static_cast<size_t>(r)] = rowNnz(r);
-    return deg;
-}
-
 void
 CsrMatrix::checkInvariants() const
 {
@@ -75,6 +65,14 @@ SparseBuilder::SparseBuilder(int64_t rows, int64_t cols)
 }
 
 void
+SparseBuilder::reserve(size_t entries)
+{
+    rowIdx.reserve(entries);
+    colIdx.reserve(entries);
+    vals.reserve(entries);
+}
+
+void
 SparseBuilder::add(int64_t row, int64_t col, float val)
 {
     if (row < 0 || row >= nRows || col < 0 || col >= nCols)
@@ -84,40 +82,62 @@ SparseBuilder::add(int64_t row, int64_t col, float val)
     vals.push_back(val);
 }
 
+namespace {
+
+/**
+ * Indices 0..keys.size()-1 in stable order of keys[i], each in
+ * [0, numKeys): a counting sort that visits the indices in @p order,
+ * or in ascending order when @p order is null.
+ */
+std::vector<size_t>
+countingSort(const std::vector<int64_t> &keys, int64_t numKeys,
+             const std::vector<size_t> *order)
+{
+    std::vector<size_t> next(static_cast<size_t>(numKeys) + 1, 0);
+    for (int64_t k : keys)
+        ++next[static_cast<size_t>(k) + 1];
+    std::partial_sum(next.begin(), next.end(), next.begin());
+    std::vector<size_t> sorted(keys.size());
+    const auto place = [&](size_t i) {
+        sorted[next[static_cast<size_t>(keys[i])]++] = i;
+    };
+    if (order) {
+        for (size_t i : *order)
+            place(i);
+    } else {
+        for (size_t i = 0; i < keys.size(); ++i)
+            place(i);
+    }
+    return sorted;
+}
+
+} // namespace
+
 CsrMatrix
 SparseBuilder::finish()
 {
-    const size_t n = rowIdx.size();
-    std::vector<size_t> perm(n);
-    std::iota(perm.begin(), perm.end(), size_t{0});
-    std::sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
-        if (rowIdx[a] != rowIdx[b])
-            return rowIdx[a] < rowIdx[b];
-        return colIdx[a] < colIdx[b];
-    });
+    // Least significant key first: by column, then stably by row.
+    const std::vector<size_t> byCol = countingSort(colIdx, nCols, nullptr);
+    const std::vector<size_t> order = countingSort(rowIdx, nRows, &byCol);
 
     CsrMatrix out(nRows, nCols);
-    out.colIdx.reserve(n);
-    out.vals.reserve(n);
+    out.colIdx.reserve(order.size());
+    out.vals.reserve(order.size());
     int64_t last_row = -1;
     int64_t last_col = -1;
-    std::vector<int64_t> row_counts(static_cast<size_t>(nRows), 0);
-    for (size_t i : perm) {
+    for (size_t i : order) {
         if (rowIdx[i] == last_row && colIdx[i] == last_col) {
             out.vals.back() += vals[i]; // duplicate entry: sum
             continue;
         }
         out.colIdx.push_back(colIdx[i]);
         out.vals.push_back(vals[i]);
-        ++row_counts[static_cast<size_t>(rowIdx[i])];
+        ++out.rowPtr[static_cast<size_t>(rowIdx[i]) + 1];
         last_row = rowIdx[i];
         last_col = colIdx[i];
     }
-    for (int64_t r = 0; r < nRows; ++r) {
-        out.rowPtr[static_cast<size_t>(r) + 1] =
-            out.rowPtr[static_cast<size_t>(r)] +
-            row_counts[static_cast<size_t>(r)];
-    }
+    std::partial_sum(out.rowPtr.begin(), out.rowPtr.end(),
+                     out.rowPtr.begin());
     out.checkInvariants();
     return out;
 }

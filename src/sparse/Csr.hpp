@@ -42,9 +42,6 @@ class CsrMatrix
     /** Diagonal matrix from a vector. */
     static CsrMatrix diagonal(const std::vector<float> &diag);
 
-    /** Per-row entry counts (out-degrees for an adjacency matrix). */
-    std::vector<int64_t> rowDegrees() const;
-
     /** Validate structural invariants; panic() on violation. */
     void checkInvariants() const;
 
@@ -61,18 +58,24 @@ class CsrMatrix
 };
 
 /**
- * Incremental CSR builder: rows must be appended in order; entries
- * within a row may arrive unsorted and are sorted on finish().
+ * CSR builder: entries may be added in any (row, col) order and any
+ * cell more than once. finish() orders them by (row, col) with two
+ * stable counting sorts, so it takes time linear in the entries plus
+ * rows plus cols, and sums each cell's duplicates in the order they
+ * were added.
  */
 class SparseBuilder
 {
   public:
     SparseBuilder(int64_t rows, int64_t cols);
 
-    /** Append an entry to the current row set. */
+    /** Reserve storage for @p entries calls to add(). */
+    void reserve(std::size_t entries);
+
+    /** Add an entry. */
     void add(int64_t row, int64_t col, float val);
 
-    /** Build the CSR matrix (sorts columns, sums duplicates). */
+    /** Build the CSR matrix (sorts by row and column, sums duplicates). */
     CsrMatrix finish();
 
   private:

@@ -122,7 +122,12 @@ addScaledIdentity(const CsrMatrix &a, float alpha)
 {
     if (a.rows() != a.cols())
         fatal("addScaledIdentity requires a square matrix");
-    SparseBuilder b(a.rows(), a.cols());
+    // One merge pass: each row's diagonal is added to its entry, or
+    // inserted before the first larger column.
+    CsrMatrix out(a.rows(), a.cols());
+    const size_t bound = static_cast<size_t>(a.nnz() + a.rows());
+    out.colIdx.reserve(bound);
+    out.vals.reserve(bound);
     for (int64_t r = 0; r < a.rows(); ++r) {
         bool has_diag = false;
         for (int64_t i = a.rowPtr[static_cast<size_t>(r)];
@@ -130,16 +135,27 @@ addScaledIdentity(const CsrMatrix &a, float alpha)
             const int64_t c = a.colIdx[static_cast<size_t>(i)];
             float v = a.vals.empty() ? 1.0f
                                      : a.vals[static_cast<size_t>(i)];
-            if (c == r) {
-                v += alpha;
+            if (!has_diag && c >= r) {
+                if (c == r) {
+                    v += alpha;
+                } else {
+                    out.colIdx.push_back(r);
+                    out.vals.push_back(alpha);
+                }
                 has_diag = true;
             }
-            b.add(r, c, v);
+            out.colIdx.push_back(c);
+            out.vals.push_back(v);
         }
-        if (!has_diag)
-            b.add(r, r, alpha);
+        if (!has_diag) {
+            out.colIdx.push_back(r);
+            out.vals.push_back(alpha);
+        }
+        out.rowPtr[static_cast<size_t>(r) + 1] =
+            static_cast<int64_t>(out.colIdx.size());
     }
-    return b.finish();
+    out.checkInvariants();
+    return out;
 }
 
 CsrMatrix

@@ -34,7 +34,11 @@ void spmm(const CsrMatrix &a, const DenseMatrix &b, DenseMatrix &c,
 /** CSR transpose. */
 CsrMatrix transpose(const CsrMatrix &a);
 
-/** C = A + alpha*I for square A. fatal() if A is not square. */
+/**
+ * C = A + alpha*I for square A, whose rows must have strictly
+ * increasing columns (checkInvariants() panics on C otherwise).
+ * fatal() if A is not square.
+ */
 CsrMatrix addScaledIdentity(const CsrMatrix &a, float alpha);
 
 /**
